@@ -89,14 +89,10 @@ pub fn duplicate_indexes<'a>(tokens: impl IntoIterator<Item = &'a Token>) -> u64
         .count() as u64
 }
 
-/// A failed comparison of a block result against the reference run.
-pub fn digests_match(reference: H256, got: H256) -> bool {
-    reference == got
-}
-
-/// Show that the checks catch what they exist to catch: a corrupted
-/// signature, a token presented for another request, a reused one-time
-/// index and a state digest that differs from the reference.
+/// Show that the token checks catch what they exist to catch: a corrupted
+/// signature, an altered expiry, a token presented for another request
+/// and a reused one-time index. (`verify::self_test` does the same for a
+/// block pass that differs from the reference.)
 pub fn self_test(req: &TokenRequest, token: &Token, ts: Address) -> Result<(), String> {
     if !token_ok(req, token, ts) {
         return Err("a genuine token failed its check".into());
@@ -124,12 +120,6 @@ pub fn self_test(req: &TokenRequest, token: &Token, ts: Address) -> Result<(), S
     reused.index = 5;
     if duplicate_indexes([&reused, &reused]) != 1 {
         return Err("a reused one-time index went unnoticed".into());
-    }
-    let digest = token_digest(req, token);
-    let mut flipped = digest;
-    flipped.0[0] ^= 1;
-    if digests_match(digest, flipped) {
-        return Err("a mismatched state digest passed".into());
     }
     Ok(())
 }

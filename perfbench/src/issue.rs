@@ -69,16 +69,20 @@ pub const NOMINAL: usize = 1;
 /// p99 latency limit that defines `slo_rate_per_s`.
 pub const LIMIT_MS: f64 = 50.0;
 /// Share of the run's seconds for each closed-loop mode.
-pub const CLOSED_SHARE: f64 = 0.06;
+pub const CLOSED_SHARE: f64 = 0.08;
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUPS: usize = 5;
+/// Set-ups before the run starts, and more between each pair of
+/// closed-loop slices; `setup_s` is the quiet median of them all.
+pub const FIRST_SETUPS: usize = 5;
+pub const SETUPS_PER_SLICE: usize = 3;
 /// Pieces the nominal step runs in, between the other steps.
 pub const NOMINAL_PIECES: usize = 4;
 /// Slices per closed-loop mode; the reported rate is their quiet median.
-pub const CLOSED_SLICES: usize = 6;
+pub const CLOSED_SLICES: usize = 8;
 /// Requests per `issue_batch` event.
 pub const BATCH: usize = 64;
+/// Batches at the start of each closed-loop slice whose tokens are checked.
+pub const SAMPLED_BATCHES: usize = 4;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kind {
@@ -152,10 +156,11 @@ pub fn split(schedule: &Schedule, parts: usize) -> Vec<Schedule> {
 /// One batch and one rule edit per this many events (about 1% each).
 pub const RARE_EVERY: usize = 100;
 
-/// One sender thread's client and the tokens it was issued.
+/// One sender thread's client and the tokens it was issued since they
+/// were last checked.
 pub struct Sender {
     pub api: HttpClient,
-    pub issued: Mutex<Vec<(u32, Token)>>,
+    issued: Mutex<Vec<(u32, Token)>>,
 }
 
 impl Sender {
@@ -168,6 +173,11 @@ impl Sender {
 
     fn keep(&self, items: impl IntoIterator<Item = (u32, Token)>) {
         self.issued.lock().expect("sender tokens").extend(items);
+    }
+
+    /// Hand over the kept tokens, keeping the buffer for the next piece.
+    fn drain_into(&self, out: &mut Vec<(u32, Token)>) {
+        out.extend(self.issued.lock().expect("sender tokens").drain(..));
     }
 }
 
@@ -250,12 +260,15 @@ impl<'a> Workload<'a> {
         }
     }
 
-    pub fn event(&self, sender: &Sender, kind: Kind) -> Outcome {
+    /// Run one event; with `keep`, its tokens are kept for checking.
+    pub fn event(&self, sender: &Sender, kind: Kind, keep: bool) -> Outcome {
         match kind {
             Kind::Issue(t) => {
                 let ok = match sender.api.issue(&self.templates[t as usize]) {
                     Ok(token) => {
-                        sender.keep([(t, token)]);
+                        if keep {
+                            sender.keep([(t, token)]);
+                        }
                         true
                     }
                     Err(_) => false,
@@ -272,12 +285,14 @@ impl<'a> Workload<'a> {
                     Ok(results) if results.len() == BATCH => {
                         let tokens: Vec<_> = results.into_iter().filter_map(Result::ok).collect();
                         let all = tokens.len() == BATCH;
-                        sender.keep(
-                            tokens
-                                .into_iter()
-                                .zip(0..)
-                                .map(|(tok, i)| (((t as usize + i) % n) as u32, tok)),
-                        );
+                        if keep {
+                            sender.keep(
+                                tokens
+                                    .into_iter()
+                                    .zip(0..)
+                                    .map(|(tok, i)| (((t as usize + i) % n) as u32, tok)),
+                            );
+                        }
                         all
                     }
                     _ => false,
@@ -334,7 +349,7 @@ pub fn run_step<'a>(
     trace: Option<(&Spans, Instant)>,
 ) -> Ran<'a> {
     let (records, start) = gen::open_loop(&schedule.due, senders, trace, |sender, k| {
-        work.event(sender, schedule.kinds[k])
+        work.event(sender, schedule.kinds[k], true)
     });
     Ran {
         schedule,
@@ -412,24 +427,46 @@ pub fn slo_rate(steps: &[StepResult], limit_ms: f64) -> f64 {
     lower.rate + f * (upper.rate - lower.rate)
 }
 
-fn median_secs(times: &[Duration]) -> f64 {
-    stats::median(&times.iter().map(Duration::as_secs_f64).collect::<Vec<_>>())
+/// Set-up times in seconds, each with the steal share measured while it
+/// ran; `setup_s` is their median over the quiet ones (see
+/// `stats::quiet_median`).
+#[derive(Default)]
+pub struct Setups(Vec<(f64, Option<f64>)>);
+
+impl Setups {
+    /// Time one set-up.
+    pub fn time<R>(&mut self, steal: &Steal, start: impl FnOnce() -> R) -> R {
+        let t = Instant::now();
+        let rig = start();
+        let end = Instant::now();
+        self.0.push(((end - t).as_secs_f64(), steal.share(t, end)));
+        rig
+    }
+
+    pub fn seconds(&self) -> f64 {
+        stats::quiet_median(&self.0)
+    }
+
+    pub fn count(&self) -> usize {
+        self.0.len()
+    }
 }
 
-/// Set up `SETUPS` times, keeping the last rig; returns it with the
-/// median set-up time in seconds.
-pub fn set_up<R>(mut start: impl FnMut(usize) -> R, stop: impl Fn(R)) -> (R, f64) {
-    let mut times = Vec::new();
-    let mut kept = None;
-    for i in 0..SETUPS {
-        if let Some(old) = kept.take() {
-            stop(old);
+/// Set up `times` times, keeping the last rig; returns it with the
+/// set-up times.
+pub fn set_up<R>(times: usize, mut start: impl FnMut() -> R, stop: impl Fn(R)) -> (R, Setups) {
+    let mut setups = Setups::default();
+    let rig = Steal::watch(|steal| {
+        let mut kept = None;
+        for _ in 0..times {
+            if let Some(old) = kept.take() {
+                stop(old);
+            }
+            kept = Some(setups.time(steal, &mut start));
         }
-        let t = Instant::now();
-        kept = Some(start(i));
-        times.push(t.elapsed());
-    }
-    (kept.expect("at least one set-up"), median_secs(&times))
+        kept.expect("at least one set-up")
+    });
+    (rig, setups)
 }
 
 pub fn peak_rss_mb() -> f64 {
@@ -452,22 +489,22 @@ fn warm(senders: &[Sender], templates: &[TokenRequest]) {
     }
 }
 
+/// Start the Token Service and connect and warm up the senders.
+fn start(run: &Run) -> (HttpRig, Vec<Sender>) {
+    let rig = HttpRig::start(run.seed);
+    let senders: Vec<_> = (0..run.nproc).map(|_| Sender::new(rig.client())).collect();
+    warm(&senders, &rig.templates);
+    (rig, senders)
+}
+
 pub fn run(run: &Run) -> Report {
-    let (rig, setup_s) = set_up(
-        |_| {
-            let rig = HttpRig::start(run.seed);
-            let senders: Vec<_> = (0..run.nproc).map(|_| Sender::new(rig.client())).collect();
-            warm(&senders, &rig.templates);
-            let plan = schedules(run.seed, run.seconds, rig.templates.len());
-            (rig, senders, plan)
-        },
-        |(rig, _, _)| rig.stop(),
-    );
-    let (rig, senders, plan) = rig;
+    let ((rig, senders), setups) = set_up(FIRST_SETUPS, || start(run), |(rig, _)| rig.stop());
+    // The arrival plan is the benchmark's input, not the system's set-up.
+    let plan = schedules(run.seed, run.seconds, rig.templates.len());
     let report = if run.trace {
         crate::layers::trace_http(run, &rig, &senders, &plan[NOMINAL])
     } else {
-        measure(run, &plan, &senders, &Workload::new(&rig), setup_s)
+        measure(run, &plan, &senders, &Workload::new(&rig), setups)
     };
     drop(senders);
     rig.stop();
@@ -479,43 +516,59 @@ fn measure(
     schedules: &[Schedule],
     senders: &[Sender],
     work: &Workload,
-    setup_s: f64,
+    mut setups: Setups,
 ) -> Report {
     let mut report = Report::default();
+    let mut checks = Checks::default();
+    // Tokens issued in closed-loop slices, and how many of them were checked.
+    let (mut closed_tokens, mut closed_checked) = (0u64, 0u64);
     let (steps, (seq_per_s, seq_n, seq_failed), (par_per_s, par_n, par_failed), stolen) =
         Steal::watch(|steal| {
-            // The nominal step runs in pieces between the other steps, so its
-            // windows sample the host across the whole run.
+            // The nominal step runs in pieces between the other steps, and
+            // the closed-loop slices run between them too, so both sample
+            // the host across the whole run. Tokens are checked (untimed)
+            // as soon as each piece or slice ends.
+            //
+            // Closed-loop batch capacity in tokens per second: slices of one
+            // sender alternating with slices of every sender, each sending
+            // `issue_batch` of 64 back to back; each rate is a quiet median
+            // over slices. The tokens of the first `SAMPLED_BATCHES` batches
+            // of a slice are checked: a fixed sample, so the benchmark's
+            // memory does not grow with the rate it measures.
             let pieces = split(&schedules[NOMINAL], NOMINAL_PIECES);
             let others: Vec<usize> = (0..schedules.len()).filter(|i| *i != NOMINAL).collect();
             let mut nominal = Vec::new();
             let mut steps: Vec<Option<StepResult>> = schedules.iter().map(|_| None).collect();
-            for i in 0..pieces.len().max(others.len()) {
-                if let Some(piece) = pieces.get(i) {
-                    nominal.push(run_step(piece, senders, work, None));
-                }
-                if let Some(&j) = others.get(i) {
-                    steps[j] = Some(replay(&schedules[j], senders, work, None, steal));
-                }
-            }
-            steps[NOMINAL] = Some(summarize(&nominal, steal));
-            let steps: Vec<StepResult> = steps
-                .into_iter()
-                .map(|s| s.expect("every step ran"))
-                .collect();
-            // Closed-loop batch capacity in tokens per second: slices of one
-            // sender alternating with slices of every sender, each sending
-            // `issue_batch` of 64 back to back; each rate is a quiet median
-            // over slices.
             let slice = Duration::from_secs_f64(run.seconds * CLOSED_SHARE / CLOSED_SLICES as f64);
             let n = work.templates.len();
             let mut seq = (Vec::new(), 0, 0);
             let mut par = (Vec::new(), 0, 0);
-            for _ in 0..CLOSED_SLICES {
+            let rounds = pieces.len().max(others.len()).max(CLOSED_SLICES);
+            for round in 0..rounds {
+                if let Some(piece) = pieces.get(round) {
+                    nominal.push(run_step(piece, senders, work, None));
+                    check_kept(senders, work, run.nproc, &mut checks);
+                }
+                if let Some(&j) = others.get(round) {
+                    steps[j] = Some(replay(&schedules[j], senders, work, None, steal));
+                    check_kept(senders, work, run.nproc, &mut checks);
+                }
+                if round >= CLOSED_SLICES {
+                    continue;
+                }
+                // A set-up lasts about 20 ms, so a short disturbance of the
+                // host can cover all of those made in one place; more are
+                // timed here, spread over the run.
+                for _ in 0..SETUPS_PER_SLICE {
+                    let (rig, spare) = setups.time(steal, || start(run));
+                    drop(spare);
+                    rig.stop();
+                }
                 for (clients, tally) in [(&senders[..1], &mut seq), (senders, &mut par)] {
                     let t = Instant::now();
                     let (ok, bad) = gen::closed_loop(clients, slice, |s, i| {
-                        work.event(s, Kind::Batch((i % n) as u32)).ok
+                        work.event(s, Kind::Batch((i % n) as u32), i < SAMPLED_BATCHES)
+                            .ok
                     });
                     tally.0.push((
                         (ok * BATCH as u64) as f64 / t.elapsed().as_secs_f64(),
@@ -523,22 +576,21 @@ fn measure(
                     ));
                     tally.1 += ok + bad;
                     tally.2 += bad;
+                    closed_tokens += ok * BATCH as u64;
+                    closed_checked += check_kept(clients, work, run.nproc, &mut checks);
                 }
             }
+            steps[NOMINAL] = Some(summarize(&nominal, steal));
+            let steps: Vec<StepResult> = steps
+                .into_iter()
+                .map(|s| s.expect("every step ran"))
+                .collect();
             let seq = (stats::quiet_median(&seq.0), seq.1, seq.2);
             let par = (stats::quiet_median(&par.0), par.1, par.2);
             (steps, seq, par, steal.overall())
         });
 
-    // Output checks.
-    let mut checks = Checks::default();
-    check_issued(
-        senders,
-        work,
-        edit_events(schedules),
-        run.nproc,
-        &mut checks,
-    );
+    check_edits(senders, work, edit_events(schedules), &mut checks);
 
     let nominal = &steps[NOMINAL];
     let events: usize = steps.iter().map(|s| s.events).sum();
@@ -590,7 +642,7 @@ fn measure(
         }
     }
     report.line(format!(
-        "closed-loop issue_batch of {BATCH}: 1 sender {seq_per_s:.1} tokens/s, {} senders {par_per_s:.1} tokens/s (quiet median of {CLOSED_SLICES} slices)",
+        "closed-loop issue_batch of {BATCH}: 1 sender {seq_per_s:.1} tokens/s, {} senders {par_per_s:.1} tokens/s (quiet median of {CLOSED_SLICES} slices); {closed_checked} of its {closed_tokens} tokens checked (first {SAMPLED_BATCHES} batches of each slice), every open-loop token checked",
         senders.len()
     ));
     report.line(steal_line(stolen));
@@ -606,7 +658,7 @@ fn measure(
     report.checks = checks;
     let p99 = nominal.single.p99;
     report.e2e = vec![
-        Metric::new("setup_s", setup_s, "s"),
+        Metric::new("setup_s", setups.seconds(), "s"),
         Metric::new("latency_p50_ms", nominal.single.p50, "ms"),
         Metric::new("goodput_per_s", nominal.achieved, "1/s"),
         Metric::new("seq_per_s", seq_per_s, "1/s"),
@@ -618,8 +670,9 @@ fn measure(
         Metric::new("slo_rate_per_s", slo_rate(&steps, LIMIT_MS), "1/s"),
     ];
     report.line(format!(
-        "latency samples at nominal step: {}",
-        nominal.single.n
+        "latency samples at nominal step: {} | setup_s over {} set-ups ({FIRST_SETUPS} before the run, {SETUPS_PER_SLICE} after each pair of closed-loop slices)",
+        nominal.single.n,
+        setups.count()
     ));
     report
 }
@@ -649,22 +702,23 @@ pub fn replay(
     summarize(&[run_step(schedule, senders, work, trace)], steal)
 }
 
-/// Check every token the senders hold (taking them), plus the rule-edit
-/// confirmations, and run the self-test.
-pub fn check_issued(
-    senders: &[Sender],
-    work: &Workload,
-    edit_events: usize,
-    threads: usize,
-    checks: &mut Checks,
-) {
-    let issued: Vec<(u32, Token)> = senders
-        .iter()
-        .flat_map(|s| std::mem::take(&mut *s.issued.lock().expect("sender tokens")))
-        .collect();
+/// Check the tokens the senders kept since the last check and drop them,
+/// so the benchmark holds at most one piece's tokens at a time; returns
+/// how many were checked.
+pub fn check_kept(senders: &[Sender], work: &Workload, threads: usize, checks: &mut Checks) -> u64 {
+    let mut kept = Vec::new();
+    for sender in senders {
+        sender.drain_into(&mut kept);
+    }
+    let bad = checks::count_bad_tokens(&kept, work.templates, work.rig.ts, threads);
+    checks.add("token recovers to the TS address", kept.len() as u64, bad);
+    kept.len() as u64
+}
+
+/// Check the rule-edit confirmations, and run the self-test on a freshly
+/// issued token.
+pub fn check_edits(senders: &[Sender], work: &Workload, edit_events: usize, checks: &mut Checks) {
     let ts = work.rig.ts;
-    let bad = checks::count_bad_tokens(&issued, work.templates, ts, threads);
-    checks.add("token recovers to the TS address", issued.len() as u64, bad);
     let edits = work.owner.checked.lock().expect("owner checks");
     let edits_bad = edits
         .iter()
@@ -677,12 +731,10 @@ pub fn check_issued(
         edit_events as u64,
         ineffective,
     );
-    match issued.first() {
-        Some((t, token)) => checks.expect(
-            "self-test",
-            checks::self_test(&work.templates[*t as usize], token, ts).is_ok(),
-        ),
-        None => checks.expect("tokens were issued", false),
+    let req = &work.templates[0];
+    match senders[0].api.issue(req) {
+        Ok(token) => checks.expect("self-test", checks::self_test(req, &token, ts).is_ok()),
+        Err(_) => checks.expect("self-test token was issued", false),
     }
 }
 

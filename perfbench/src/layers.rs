@@ -19,7 +19,7 @@ use smacs_chain::BlockMode;
 
 use crate::checks::{self, token_digest, Checks};
 use crate::gen::{Span, Spans, Steal};
-use crate::issue::{self, check_issued, replay, Schedule, Sender, Workload};
+use crate::issue::{self, check_edits, check_kept, replay, Schedule, Sender, Workload};
 use crate::rig::{ChainRig, HttpRig, OneTimeRig, BLOCK_TXS};
 use crate::stats::{self, median, Tail};
 use crate::verify::{self, mean_gas, pass};
@@ -508,22 +508,21 @@ pub fn trace_http(run: &Run, rig: &HttpRig, senders: &[Sender], nominal: &Schedu
     let work = Workload::new(rig);
     // Quarters of the nominal schedule, untraced-traced-traced-untraced,
     // so drift of the host cancels out of the tracing overhead.
+    // Each quarter's tokens are checked as soon as it ends.
     let quarters = issue::split(nominal, 4);
+    let mut checks = Checks::default();
     let results: Vec<issue::StepResult> = Steal::watch(|steal| {
         quarters
             .iter()
             .zip([false, true, true, false])
-            .map(|(q, traced)| replay(q, senders, &work, traced.then_some((&spans, p.t0)), steal))
+            .map(|(q, traced)| {
+                let result = replay(q, senders, &work, traced.then_some((&spans, p.t0)), steal);
+                check_kept(senders, &work, run.nproc, &mut checks);
+                result
+            })
             .collect()
     });
-    let mut checks = Checks::default();
-    check_issued(
-        senders,
-        &work,
-        issue::edit_events(&quarters),
-        run.nproc,
-        &mut checks,
-    );
+    check_edits(senders, &work, issue::edit_events(&quarters), &mut checks);
 
     let mut m = Layers::default();
     replay_numbers(
@@ -574,6 +573,11 @@ pub fn trace_verify(run: &Run, rig: &ChainRig, pool: &Arc<WorkerPool>) -> Report
     // sequential passes.
     let rounds = ((run.seconds * 0.25) / 0.6).ceil().max(1.0) as usize;
     let reference = pass(rig, &seq, false, |_, _| {});
+    verify::check_success(&reference, &mut checks);
+    checks.expect(
+        "self-test: a differing pass is caught",
+        verify::self_test(&reference),
+    );
     let mut plain_par = Vec::new();
     let mut gaps = Vec::new();
     let mut executed = rig.txs();

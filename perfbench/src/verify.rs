@@ -16,6 +16,8 @@ use crate::{Metric, Report, Run};
 
 /// Blocks per pass over a fresh fork.
 pub const BLOCKS: usize = 8;
+/// Set-ups per run; `setup_s` is their quiet median.
+pub const SETUPS: usize = 15;
 /// Share of the run's seconds spent executing passes.
 pub const MEASURE_SHARE: f64 = 0.85;
 /// Confirmation latency limit for `slo_rate_per_s`.
@@ -54,6 +56,7 @@ impl TxResult {
 }
 
 /// One pass over every block on a fresh fork.
+#[derive(Clone)]
 pub struct Pass {
     pub block_ms: Vec<f64>,
     pub results: Vec<TxResult>,
@@ -93,11 +96,16 @@ pub fn pass<'p>(
     }
 }
 
+/// Every receipt of `pass` is `Success`.
+pub fn check_success(pass: &Pass, checks: &mut Checks) {
+    let failed = pass.results.iter().filter(|r| !r.success).count() as u64;
+    checks.add("receipt is Success", pass.results.len() as u64, failed);
+}
+
 /// Compare `got` with the reference pass: every receipt `Success`, gas
 /// and gas sections equal, state digest equal.
 pub fn compare(reference: &Pass, got: &Pass, checks: &mut Checks) {
-    let failed = got.results.iter().filter(|r| !r.success).count() as u64;
-    checks.add("receipt is Success", got.results.len() as u64, failed);
+    check_success(got, checks);
     let differ = got
         .results
         .iter()
@@ -111,8 +119,24 @@ pub fn compare(reference: &Pass, got: &Pass, checks: &mut Checks) {
     );
     checks.expect(
         "state digest equals the reference run",
-        checks::digests_match(reference.digest, got.digest),
+        reference.digest == got.digest,
     );
+}
+
+/// Show that [`compare`] catches a pass that differs from the reference:
+/// once with one transaction's gas altered, once with the state digest
+/// altered, each counted as exactly one failed check.
+pub fn self_test(reference: &Pass) -> bool {
+    let caught = |alter: &dyn Fn(&mut Pass)| {
+        let mut got = reference.clone();
+        alter(&mut got);
+        let mut checks = Checks::default();
+        compare(reference, &got, &mut checks);
+        checks.failed == 1
+    };
+    !reference.results.is_empty()
+        && caught(&|p| p.results[0].gas += 1)
+        && caught(&|p| p.digest.0[0] ^= 1)
 }
 
 /// Mean gas per transaction of a pass: total, verify, bitmap, parse.
@@ -144,12 +168,12 @@ pub fn check_tokens(rig: &ChainRig, checks: &mut Checks) {
 }
 
 pub fn run(run: &Run) -> Report {
-    let (rig, setup_s) = set_up(|_| ChainRig::build(run.seed, BLOCKS), drop);
+    let (rig, setups) = set_up(SETUPS, || ChainRig::build(run.seed, BLOCKS), drop);
     let pool = WorkerPool::new(run.nproc, 1024);
     let report = if run.trace {
         crate::layers::trace_verify(run, &rig, &pool)
     } else {
-        measure(run, &rig, &pool, setup_s)
+        measure(run, &rig, &pool, setups.seconds())
     };
     pool.shutdown();
     report
@@ -163,37 +187,44 @@ fn measure(run: &Run, rig: &ChainRig, pool: &WorkerPool, setup_s: f64) -> Report
     let par = || BlockMode::Parallel(pool);
 
     let budget = Duration::from_secs_f64(run.seconds * MEASURE_SHARE);
-    let rate = |p: &Pass, ok: bool| {
-        let txs = p.results.iter().filter(|r| r.success || !ok).count();
-        txs as f64 / (p.block_ms.iter().sum::<f64>() / 1e3)
-    };
-    // Passes alternate parallel and sequential. Rates are per pass; every
-    // transaction of a block is confirmed when the block returns, so its
-    // latency is its block's time (one sample per transaction). Each is
-    // reported as a median over the less-stolen half of its passes or
-    // windows.
+    let rate = |p: &Pass| p.results.len() as f64 / (p.block_ms.iter().sum::<f64>() / 1e3);
+    let good = |p: &Pass| p.results.iter().filter(|r| r.success).count();
+    // Passes alternate parallel and sequential. Mode rates are per pass,
+    // over block execution time. Goodput is per round (one pass of each
+    // mode): successful transactions over the round's wall time, forks and
+    // cold transaction assembly included. Every transaction of a block is
+    // confirmed when the block returns, so its latency is its parallel
+    // block's time (one sample per transaction). Each is reported as a
+    // median over the less-stolen half of its passes, rounds or windows.
     let (reference, seq_rates, par_rates, good_rates, tail, passes, stolen) =
         Steal::watch(|steal| {
             let start = Instant::now();
             let reference = pass(rig, &seq, false, |_, _| {});
-            compare(&reference, &reference, &mut checks);
+            check_success(&reference, &mut checks);
+            checks.expect(
+                "self-test: a differing pass is caught",
+                self_test(&reference),
+            );
             let (mut seq_rates, mut par_rates, mut good_rates) =
                 (Vec::new(), Vec::new(), Vec::new());
             let mut per_tx: Vec<(f64, Instant, Instant)> = Vec::new();
             let mut passes = 1;
             while start.elapsed() < budget || par_rates.is_empty() {
-                let t = Instant::now();
+                let round = Instant::now();
                 let p = pass(rig, &par, false, |s, e| {
                     let ms = (e - s).as_secs_f64() * 1e3;
                     per_tx.extend(std::iter::repeat_n((ms, s, e), BLOCK_TXS));
                 });
-                let stolen = steal.share(t, Instant::now());
-                compare(&reference, &p, &mut checks);
-                par_rates.push((rate(&p, false), stolen));
-                good_rates.push((rate(&p, true), stolen));
+                par_rates.push((rate(&p), steal.share(round, Instant::now())));
                 let t = Instant::now();
                 let s = pass(rig, &seq, false, |_, _| {});
-                seq_rates.push((rate(&s, false), steal.share(t, Instant::now())));
+                let end = Instant::now();
+                seq_rates.push((rate(&s), steal.share(t, end)));
+                good_rates.push((
+                    (good(&p) + good(&s)) as f64 / (end - round).as_secs_f64(),
+                    steal.share(round, end),
+                ));
+                compare(&reference, &p, &mut checks);
                 compare(&reference, &s, &mut checks);
                 passes += 2;
             }
@@ -275,4 +306,43 @@ fn measure(run: &Run, rig: &ChainRig, pool: &WorkerPool, setup_s: f64) -> Report
         Metric::new("peak_rss_mb", peak_rss_mb(), "MB"),
     ];
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tx(gas: u64) -> TxResult {
+        TxResult {
+            success: true,
+            gas,
+            verify: gas / 2,
+            bitmap: 0,
+            parse: 0,
+        }
+    }
+
+    #[test]
+    fn compare_counts_each_difference_and_self_test_sees_them() {
+        let reference = Pass {
+            block_ms: vec![1.0],
+            results: vec![tx(100), tx(200)],
+            digest: H256([7; 32]),
+        };
+        let mut checks = Checks::default();
+        compare(&reference, &reference.clone(), &mut checks);
+        assert_eq!((checks.made, checks.failed), (5, 0));
+        let mut got = reference.clone();
+        got.results[1].success = false;
+        got.digest.0[31] ^= 1;
+        compare(&reference, &got, &mut checks);
+        // Not Success, differs from the reference, digest differs.
+        assert_eq!(checks.failed, 3);
+        assert!(self_test(&reference));
+        let empty = Pass {
+            results: Vec::new(),
+            ..reference
+        };
+        assert!(!self_test(&empty));
+    }
 }
