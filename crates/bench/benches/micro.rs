@@ -108,17 +108,17 @@ fn bench_issuance(c: &mut Criterion) {
 fn bench_ts_issue_batch(c: &mut Criterion) {
     use smacs_bench::perf::WireScenario;
 
-    // The acceptance comparison: 64 tokens per v2 batch envelope on a
-    // keep-alive connection vs 64 sequential v1 single-issue round trips
-    // (fresh connection each). Both paths hit the same HTTP server.
+    // The acceptance comparison: 64 tokens per v2 batch envelope vs 64
+    // sequential v2 `issue` round trips, both on the same keep-alive
+    // connection to the same HTTP server.
     const BATCH: usize = 64;
     let mut group = c.benchmark_group("ts_issue_batch");
     group.sample_size(10);
     let scenario = WireScenario::new(BATCH);
     scenario.client.ping().expect("server alive");
     group.bench_function("http_batch_64", |b| b.iter(|| scenario.run_batch()));
-    group.bench_function("http_v1_sequential_64", |b| {
-        b.iter(|| scenario.run_v1_sequential())
+    group.bench_function("http_sequential_64", |b| {
+        b.iter(|| scenario.run_sequential())
     });
     group.finish();
 }

@@ -51,13 +51,13 @@ fn main() {
         println!("{:<48} {:>14.0} ns/op", row.name, row.ns);
     }
 
-    println!("\n== TS wire throughput (v2 batch vs sequential v1) ==");
+    println!("\n== TS wire throughput (v2 batch vs sequential v2 issue) ==");
     let wire = smacs_bench::perf::ts_wire_throughput(64, 3);
     println!(
-        "batch of {}: {:>10.0} tokens/s   sequential v1: {:>10.0} tokens/s   speedup {:.2}x",
+        "batch of {}: {:>10.0} tokens/s   sequential: {:>10.0} tokens/s   speedup {:.2}x",
         wire.batch_size,
         wire.batch_tokens_per_sec,
-        wire.v1_sequential_tokens_per_sec,
+        wire.sequential_tokens_per_sec,
         wire.speedup()
     );
 

@@ -1,7 +1,7 @@
 //! Perf probes for the journaled-state / zero-copy work — snapshot+revert
 //! against a large world, O(1) forking, deep token call chains — plus the
-//! TS wire-throughput comparison (v2 batch issuance vs sequential v1
-//! round trips) and the concurrent-issuance probes (batch-signing
+//! TS wire-throughput comparison (v2 batch issuance vs sequential v2
+//! `issue` round trips) and the concurrent-issuance probes (batch-signing
 //! throughput vs worker-pool size, HTTP throughput vs client threads, and
 //! the pooled server's thread cost under many keep-alive connections).
 //!
@@ -19,8 +19,8 @@ use smacs_crypto::Keypair;
 use smacs_primitives::json::Json;
 use smacs_primitives::{Address, Bytes, WorkerPool, H256, U256};
 use smacs_token::{Token, TokenRequest, TokenType};
-use smacs_ts::front::{FrontEnd, FrontRequest, FrontResponse};
-use smacs_ts::http::{post_json, HttpClient, HttpServer};
+use smacs_ts::front::FrontEnd;
+use smacs_ts::http::{HttpClient, HttpServer};
 use smacs_ts::{RuleBook, TokenService, TokenServiceConfig, TsApi};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -201,12 +201,13 @@ pub fn call_chain_ns(depth: usize, iters: u32) -> f64 {
     time_per_iter(iters, || scenario.run_once())
 }
 
-// ---- TS wire throughput: v2 batch vs sequential v1 ----
+// ---- TS wire throughput: v2 batch vs sequential v2 issue ----
 
 /// A running HTTP Token Service plus the request set for throughput
 /// probes.
 pub struct WireScenario {
-    server: HttpServer,
+    /// Serves for as long as the scenario lives.
+    _server: HttpServer,
     /// The v2 keep-alive client.
     pub client: HttpClient,
     /// The issuance requests (distinct senders, same contract/method).
@@ -236,7 +237,7 @@ impl WireScenario {
             })
             .collect();
         WireScenario {
-            server,
+            _server: server,
             client,
             requests,
         }
@@ -251,20 +252,11 @@ impl WireScenario {
         assert!(results.iter().all(|r| r.is_ok()), "batch issuance failed");
     }
 
-    /// The v1 baseline: one single-issue round trip per request, each on a
-    /// fresh connection (v1 was one-request-per-connection by design).
-    pub fn run_v1_sequential(&self) {
+    /// The sequential baseline: one v2 `issue` round trip per request over
+    /// the same keep-alive connection.
+    pub fn run_sequential(&self) {
         for request in &self.requests {
-            let body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-                request: request.clone(),
-            });
-            let response = post_json(self.server.addr(), &body).expect("v1 round trip");
-            let parsed: FrontResponse =
-                smacs_primitives::json::from_str(&response).expect("v1 response");
-            assert!(
-                matches!(parsed, FrontResponse::Token { .. }),
-                "v1 issuance failed: {parsed:?}"
-            );
+            self.client.issue(request).expect("sequential issue");
         }
     }
 }
@@ -276,15 +268,15 @@ pub struct WireThroughput {
     /// Tokens/sec via one v2 `issue_batch` envelope per `batch_size`
     /// tokens over a keep-alive connection.
     pub batch_tokens_per_sec: f64,
-    /// Tokens/sec via `batch_size` sequential v1 single-issue round trips
-    /// (fresh connection each, as v1 clients worked).
-    pub v1_sequential_tokens_per_sec: f64,
+    /// Tokens/sec via `batch_size` sequential v2 `issue` round trips over
+    /// the same keep-alive connection.
+    pub sequential_tokens_per_sec: f64,
 }
 
 impl WireThroughput {
     /// Batch speedup factor.
     pub fn speedup(&self) -> f64 {
-        self.batch_tokens_per_sec / self.v1_sequential_tokens_per_sec.max(1e-9)
+        self.batch_tokens_per_sec / self.sequential_tokens_per_sec.max(1e-9)
     }
 }
 
@@ -307,14 +299,14 @@ pub fn ts_wire_throughput(batch_size: usize, rounds: u32) -> WireThroughput {
 
     let start = Instant::now();
     for _ in 0..rounds {
-        scenario.run_v1_sequential();
+        scenario.run_sequential();
     }
-    let v1_tps = (batch_size as u32 * rounds) as f64 / start.elapsed().as_secs_f64();
+    let sequential_tps = (batch_size as u32 * rounds) as f64 / start.elapsed().as_secs_f64();
 
     WireThroughput {
         batch_size,
         batch_tokens_per_sec: batch_tps,
-        v1_sequential_tokens_per_sec: v1_tps,
+        sequential_tokens_per_sec: sequential_tps,
     }
 }
 
@@ -328,8 +320,8 @@ pub fn wire_throughput_to_json(wire: &WireThroughput) -> Json {
             Json::Int(wire.batch_tokens_per_sec as i128),
         ),
         (
-            "v1_sequential_tokens_per_sec".into(),
-            Json::Int(wire.v1_sequential_tokens_per_sec as i128),
+            "sequential_tokens_per_sec".into(),
+            Json::Int(wire.sequential_tokens_per_sec as i128),
         ),
         (
             "batch_speedup_x100".into(),
@@ -584,9 +576,10 @@ pub fn connection_scaling_probe_with_window(
     );
     let server = HttpServer::start_with(
         Arc::new(FrontEnd::new(service, "bench-owner", 0)),
-        smacs_ts::HttpServerConfig::builder()
-            .max_connections(connections + 64)
-            .build(),
+        smacs_ts::HttpServerConfig {
+            max_connections: connections + 64,
+            ..Default::default()
+        },
     )
     .expect("loopback server");
     let pool_workers = server.pool().threads();
@@ -605,7 +598,7 @@ pub fn connection_scaling_probe_with_window(
     let os_threads = process_thread_count();
 
     // Nobody talks during the window; a poller-era server would still
-    // burn a sweep per poll_interval here, the reactor burns nothing.
+    // burn a sweep per poll interval here, the reactor burns nothing.
     let before = process_cpu_ticks();
     std::thread::sleep(idle_window);
     let after = process_cpu_ticks();
@@ -1492,7 +1485,7 @@ mod tests {
     fn wire_throughput_probe_mints_on_both_paths() {
         let wire = ts_wire_throughput(4, 1);
         assert!(wire.batch_tokens_per_sec > 0.0);
-        assert!(wire.v1_sequential_tokens_per_sec > 0.0);
+        assert!(wire.sequential_tokens_per_sec > 0.0);
         let json = wire_throughput_to_json(&wire);
         assert!(json.get("batch_speedup_x100").is_some());
     }

@@ -6,6 +6,8 @@
 //! Object key order is preserved (insertion order), integers are `i128`
 //! (no floats — nothing in the SMACS protocol uses them), and strings
 //! support the full escape set including `\uXXXX` surrogate pairs.
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels deep, so hostile
+//! input cannot overflow the parsing thread's stack.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -38,6 +40,11 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level; the limit keeps wire input from exhausting a
+/// worker's stack (no SMACS message nests more than a handful of levels).
+pub const MAX_DEPTH: usize = 128;
 
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
@@ -180,6 +187,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -218,6 +226,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -259,8 +269,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => err(format!(
                 "unexpected character {:?} at offset {}",
@@ -268,6 +278,24 @@ impl Parser<'_> {
             )),
             None => err("unexpected end of input"),
         }
+    }
+
+    /// Parse one array or object one nesting level down, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -775,6 +803,22 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let too_deep = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(too_deep.0.contains("nesting"), "{too_deep}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Far past any stack: refused without recursing.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

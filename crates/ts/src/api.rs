@@ -49,12 +49,14 @@
 //! semantics), so one denied request never costs the round trip.
 //!
 //! Error codes ([`ErrorCode`]) are machine-readable and mirror
-//! [`IssueError`]'s variants one-to-one; messages stay as coarse as v1's
-//! free-text reasons, because rules are private to the TS (§VII-A d).
+//! [`IssueError`]'s variants one-to-one; messages stay coarse free-text
+//! reasons, because rules are private to the TS (§VII-A d).
 //!
-//! The unversioned v1 protocol (`{"op": "issue_token", …}`, one request
-//! per connection) still parses and is answered in its original shape —
-//! see [`FrontEnd::handle_json`].
+//! v2 is the only protocol: a body without a valid envelope — unparseable
+//! JSON, or an unversioned `{"op": …}` object — is answered with
+//! `bad_envelope` (see [`FrontEnd::handle_json`]), as are the HTTP
+//! server's own transport refusals (wrong method, unframeable or
+//! oversized body).
 
 use smacs_primitives::json::Json;
 use smacs_primitives::{json_codec, Address};
@@ -183,7 +185,7 @@ impl From<IssueError> for ApiError {
             IssueError::ToolRejected { .. } => ErrorCode::ToolRejected,
             IssueError::CounterUnavailable => ErrorCode::CounterUnavailable,
         };
-        // The Display string is the same coarse reason v1 sent.
+        // The Display string is the coarse reason: no rule contents.
         ApiError::new(code, e.to_string())
     }
 }

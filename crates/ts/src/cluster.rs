@@ -75,10 +75,9 @@ use smacs_primitives::Address;
 
 use crate::api::{CounterCommitBody, CounterStateBody, CounterVoteBody};
 use crate::discovery::ContractMetadata;
-use crate::endpoint::Endpoint;
 use crate::fault::FaultPlan;
 use crate::front::{EndpointScope, FrontEnd};
-use crate::http::{HttpClient, HttpClientConfig, HttpServerConfig};
+use crate::http::{HttpClient, HttpClientConfig, HttpServer, HttpServerConfig};
 use crate::replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 use crate::rules::RuleBook;
 use crate::service::{ShardedRules, TokenService, TokenServiceConfig};
@@ -116,9 +115,9 @@ pub struct ReplicaSetConfig {
     /// Per-replica service tuning.
     pub service: TokenServiceConfig,
     /// Per-replica HTTP server tuning. `bind` and `faults` are managed by
-    /// the set and must be left `None`; `scope` must stay
-    /// [`EndpointScope::Public`] (these are the client-facing listeners —
-    /// the set builds its own vote endpoints).
+    /// the set and must be left `None`; `scope` is ignored — these are the
+    /// client-facing listeners, always bound [`EndpointScope::Public`]
+    /// (the set builds its own vote endpoints).
     pub http: HttpServerConfig,
     /// Initial TS-local clock.
     pub now: u64,
@@ -159,18 +158,36 @@ fn vote_client_config() -> HttpClientConfig {
 }
 
 /// Pool sizing for the dedicated vote endpoints: vote handling is a
-/// mutex-guarded counter bump plus a WAL append — two workers keep a
+/// mutex-guarded counter bump plus a WAL append, so two workers keep a
 /// coordinator and a recovering peer served without stealing cores from
-/// issuance. The [`EndpointScope::Vote`] these bind under is what admits
-/// the `counter_*` op family: the client-facing listeners stay
-/// [`EndpointScope::Public`] and refuse those ops, so outsiders cannot
-/// burn index ranges. (The scope itself is pinned by [`Endpoint::bind`],
-/// not this config.)
+/// issuance.
+///
+/// Every listener in this module is bound by [`HttpServer::start_with`]
+/// with its scope named in the config literal at the call site:
+/// [`EndpointScope::Vote`] admits the `counter_*` op family, while the
+/// client-facing listeners bind with [`EndpointScope::Public`] and refuse
+/// those ops, so outsiders cannot burn index ranges. An explicit field
+/// overrides the `..base` config, so a stale config can never turn a
+/// public listener into a vote endpoint.
 fn vote_server_config() -> HttpServerConfig {
-    HttpServerConfig::builder()
-        .workers(2)
-        .queue_capacity(64)
-        .build()
+    HttpServerConfig {
+        workers: 2,
+        queue_capacity: 64,
+        ..Default::default()
+    }
+}
+
+/// [`HttpServer::start_with`], retrying for up to ~0.5 s: the recovery
+/// path rebinds an address the kernel may be slow to release after the
+/// previous listener closed.
+fn start_retrying(front: &Arc<FrontEnd>, config: HttpServerConfig) -> std::io::Result<HttpServer> {
+    for _ in 1..50 {
+        if let Ok(server) = HttpServer::start_with(front.clone(), config.clone()) {
+            return Ok(server);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    HttpServer::start_with(front.clone(), config)
 }
 
 /// The wire [`CounterTransport`]: speaks the `counter_*` op family to one
@@ -254,7 +271,7 @@ impl CounterTransport for WireCounterTransport {
 struct Replica {
     front: Arc<FrontEnd>,
     /// `None` while killed.
-    server: Option<Endpoint>,
+    server: Option<HttpServer>,
     /// The address this replica serves on — stable across kill/recover.
     addr: SocketAddr,
     faults: Arc<FaultPlan>,
@@ -262,7 +279,7 @@ struct Replica {
     node: Arc<CounterNode>,
     /// Wire mode: the dedicated vote endpoint (`None` while killed, and
     /// always `None` in in-process mode).
-    counter_server: Option<Endpoint>,
+    counter_server: Option<HttpServer>,
     /// Wire mode: the vote endpoint's address — stable across
     /// kill/recover.
     counter_addr: Option<SocketAddr>,
@@ -377,18 +394,20 @@ impl ReplicaSet {
                 .with_counter(nodes[id].clone()),
             );
             let counter_server = match config.counter_mode {
-                CounterMode::Wire => Some(Endpoint::bind(
+                CounterMode::Wire => Some(HttpServer::start_with(
                     front.clone(),
-                    EndpointScope::Vote,
-                    vote_server_config(),
+                    HttpServerConfig {
+                        scope: EndpointScope::Vote,
+                        ..vote_server_config()
+                    },
                 )?),
                 CounterMode::InProcess => None,
             };
-            let counter_addr = counter_server.as_ref().map(Endpoint::addr);
-            let server = Endpoint::bind(
+            let counter_addr = counter_server.as_ref().map(HttpServer::addr);
+            let server = HttpServer::start_with(
                 front.clone(),
-                EndpointScope::Public,
                 HttpServerConfig {
+                    scope: EndpointScope::Public,
                     faults: Some(faults[id].clone()),
                     ..config.http.clone()
                 },
@@ -559,10 +578,10 @@ impl ReplicaSet {
         replica.node.adopt(frontier)?;
 
         if let (None, Some(addr)) = (&replica.counter_server, replica.counter_addr) {
-            let server = Endpoint::bind_retry(
-                replica.front.clone(),
-                EndpointScope::Vote,
+            let server = start_retrying(
+                &replica.front,
                 HttpServerConfig {
+                    scope: EndpointScope::Vote,
                     bind: Some(addr),
                     ..vote_server_config()
                 },
@@ -570,10 +589,10 @@ impl ReplicaSet {
             self.replicas[id].counter_server = Some(server);
         }
         if self.replicas[id].server.is_none() {
-            let server = Endpoint::bind_retry(
-                self.replicas[id].front.clone(),
-                EndpointScope::Public,
+            let server = start_retrying(
+                &self.replicas[id].front,
                 HttpServerConfig {
+                    scope: EndpointScope::Public,
                     bind: Some(self.replicas[id].addr),
                     faults: Some(self.replicas[id].faults.clone()),
                     ..self.config.http.clone()

@@ -1,20 +1,14 @@
 //! The JSON front-end: what flows over the TS's web interface.
 //!
 //! Owners and clients "interact with the TS through an HTTPS-enabled web
-//! interface" (§IV). Two protocol generations coexist:
-//!
-//! - **v2** (current): versioned `{"v": 2, "op": …, "body": …}` envelopes
-//!   with machine-readable error codes and batch issuance — the full
-//!   grammar lives in [`crate::api`]. All five [`crate::api::TsApi`] ops
-//!   dispatch through [`FrontEnd::handle_api`].
-//! - **v1** (legacy): the unversioned `{"op": "issue_token", …}` /
-//!   `{"op": "set_rules", …}` / `{"op": "ping"}` envelopes this prototype
-//!   launched with. [`FrontEnd::handle_json`] recognizes the missing `v`
-//!   field and answers in the original [`FrontResponse`] shape, so old
-//!   clients keep working unchanged.
-//!
-//! Both generations funnel into the same [`FrontEnd::handle_api`] — the
-//! single code path the in-process client exercises too.
+//! interface" (§IV). Here that interface speaks one protocol, v2:
+//! versioned `{"v": 2, "op": …, "body": …}` envelopes with
+//! machine-readable error codes and batch issuance — the full grammar
+//! lives in [`crate::api`]. [`FrontEnd::handle_json`] decodes an envelope
+//! and every op dispatches through [`FrontEnd::handle_api`], the single
+//! code path the in-process client exercises too. A body that is not a
+//! valid v2 envelope (unparseable JSON, a missing `v`) is answered with a
+//! v2 `bad_envelope` error and never reaches the service.
 
 use parking_lot::RwLock;
 use smacs_primitives::json::{FromJson, Json, JsonError, ToJson};
@@ -108,133 +102,6 @@ pub enum ApiOk {
         /// The node's frontier after the vote.
         committed: u64,
     },
-}
-
-/// A front-end request envelope.
-#[derive(Clone, Debug)]
-pub enum FrontRequest {
-    /// Client: request a token.
-    IssueToken {
-        /// The token request body.
-        request: TokenRequest,
-    },
-    /// Owner: replace the rule book.
-    SetRules {
-        /// Owner authentication secret.
-        owner_secret: String,
-        /// The new rules.
-        rules: RuleBook,
-    },
-    /// Anyone: service liveness probe.
-    Ping,
-}
-
-/// A front-end response envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FrontResponse {
-    /// Token granted: the hex-encoded 86-byte wire image.
-    Token {
-        /// Hex of [`Token::to_bytes`].
-        token_hex: String,
-    },
-    /// Request denied. The reason is deliberately coarse: rules stay
-    /// private to the TS (§VII-A d).
-    Denied {
-        /// Human-readable rejection summary.
-        reason: String,
-    },
-    /// Rules updated.
-    RulesUpdated,
-    /// Pong.
-    Pong,
-    /// Malformed request or bad owner secret.
-    Error {
-        /// What went wrong.
-        message: String,
-    },
-}
-
-// The wire shape matches what the original serde derive produced:
-// internally tagged envelopes with snake_case tags —
-// `{"op": "issue_token", "request": {...}}` / `{"status": "token", ...}`.
-// Hand-written because `json_codec!` only generates plain struct codecs.
-
-impl ToJson for FrontRequest {
-    fn to_json(&self) -> Json {
-        match self {
-            FrontRequest::IssueToken { request } => Json::Obj(vec![
-                ("op".into(), Json::Str("issue_token".into())),
-                ("request".into(), request.to_json()),
-            ]),
-            FrontRequest::SetRules {
-                owner_secret,
-                rules,
-            } => Json::Obj(vec![
-                ("op".into(), Json::Str("set_rules".into())),
-                ("owner_secret".into(), owner_secret.to_json()),
-                ("rules".into(), rules.to_json()),
-            ]),
-            FrontRequest::Ping => Json::Obj(vec![("op".into(), Json::Str("ping".into()))]),
-        }
-    }
-}
-
-impl FromJson for FrontRequest {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.want("op")?.as_str() {
-            Some("issue_token") => Ok(FrontRequest::IssueToken {
-                request: TokenRequest::from_json(json.want("request")?)?,
-            }),
-            Some("set_rules") => Ok(FrontRequest::SetRules {
-                owner_secret: String::from_json(json.want("owner_secret")?)?,
-                rules: RuleBook::from_json(json.want("rules")?)?,
-            }),
-            Some("ping") => Ok(FrontRequest::Ping),
-            other => Err(JsonError(format!("unknown op {other:?}"))),
-        }
-    }
-}
-
-impl ToJson for FrontResponse {
-    fn to_json(&self) -> Json {
-        match self {
-            FrontResponse::Token { token_hex } => Json::Obj(vec![
-                ("status".into(), Json::Str("token".into())),
-                ("token_hex".into(), token_hex.to_json()),
-            ]),
-            FrontResponse::Denied { reason } => Json::Obj(vec![
-                ("status".into(), Json::Str("denied".into())),
-                ("reason".into(), reason.to_json()),
-            ]),
-            FrontResponse::RulesUpdated => {
-                Json::Obj(vec![("status".into(), Json::Str("rules_updated".into()))])
-            }
-            FrontResponse::Pong => Json::Obj(vec![("status".into(), Json::Str("pong".into()))]),
-            FrontResponse::Error { message } => Json::Obj(vec![
-                ("status".into(), Json::Str("error".into())),
-                ("message".into(), message.to_json()),
-            ]),
-        }
-    }
-}
-
-impl FromJson for FrontResponse {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json.want("status")?.as_str() {
-            Some("token") => Ok(FrontResponse::Token {
-                token_hex: String::from_json(json.want("token_hex")?)?,
-            }),
-            Some("denied") => Ok(FrontResponse::Denied {
-                reason: String::from_json(json.want("reason")?)?,
-            }),
-            Some("rules_updated") => Ok(FrontResponse::RulesUpdated),
-            Some("pong") => Ok(FrontResponse::Pong),
-            Some("error") => Ok(FrontResponse::Error {
-                message: String::from_json(json.want("message")?)?,
-            }),
-            other => Err(JsonError(format!("unknown status {other:?}"))),
-        }
-    }
 }
 
 /// The front end: a service, its owner secret, the TS-local clock, and the
@@ -369,78 +236,34 @@ impl FrontEnd {
         })
     }
 
-    /// Handle a structured v1 request — a shim over [`FrontEnd::handle_api`]
-    /// that restates the outcome in the legacy response vocabulary.
-    pub fn handle(&self, request: FrontRequest) -> FrontResponse {
-        match request {
-            FrontRequest::IssueToken { request } => {
-                match self.handle_api(ApiRequest::Issue(request)) {
-                    Ok(ApiOk::Token(token)) => FrontResponse::Token {
-                        token_hex: encode_token_hex(&token),
-                    },
-                    Ok(other) => FrontResponse::Error {
-                        message: format!("mismatched response {other:?}"),
-                    },
-                    Err(e) => FrontResponse::Denied { reason: e.message },
-                }
-            }
-            FrontRequest::SetRules {
-                owner_secret,
-                rules,
-            } => match self.handle_api(ApiRequest::SetRules {
-                owner_secret,
-                rules,
-            }) {
-                Ok(_) => FrontResponse::RulesUpdated,
-                Err(e) => FrontResponse::Error { message: e.message },
-            },
-            FrontRequest::Ping => FrontResponse::Pong,
-        }
-    }
-
     /// Handle one raw JSON request body with [`EndpointScope::Public`]
     /// dispatch — the safe default for anything a client can reach.
     pub fn handle_json(&self, body: &str) -> String {
         self.handle_json_scoped(body, EndpointScope::Public)
     }
 
-    /// Handle one raw JSON request body, dispatching on protocol version:
-    /// a `"v"` member marks a v2 envelope; anything else takes the v1
-    /// legacy path (including its free-text error responses). `scope`
-    /// selects which op families this endpoint serves — only
-    /// [`EndpointScope::Vote`] (the replica-internal vote endpoint)
-    /// dispatches the `counter_*` family.
+    /// Handle one raw JSON request body: decode the v2 envelope, dispatch
+    /// it, and encode the response envelope. Anything that is not a valid
+    /// v2 envelope — unparseable JSON included — is answered with
+    /// `bad_envelope` and never reaches the service. `scope` selects which
+    /// op families this endpoint serves — only [`EndpointScope::Vote`]
+    /// (the replica-internal vote endpoint) dispatches the `counter_*`
+    /// family.
     pub fn handle_json_scoped(&self, body: &str, scope: EndpointScope) -> String {
-        match Json::parse(body) {
-            Ok(json) if json.get("v").is_some() => self.handle_v2_json(&json, scope).render(),
-            Ok(json) => {
-                let response = match FrontRequest::from_json(&json) {
-                    Ok(req) => self.handle(req),
-                    Err(e) => FrontResponse::Error {
-                        message: format!("bad request: {e}"),
-                    },
-                };
-                smacs_primitives::json::to_string(&response)
-            }
-            Err(e) => smacs_primitives::json::to_string(&FrontResponse::Error {
-                message: format!("bad request: {e}"),
-            }),
-        }
-    }
-
-    /// Decode a v2 envelope, dispatch it, and encode the response envelope.
-    fn handle_v2_json(&self, json: &Json, scope: EndpointScope) -> Json {
-        let result = decode_v2_request(json).and_then(|req| {
-            if scope == EndpointScope::Public && is_counter_op(&req) {
-                Err(ApiError::new(
-                    ErrorCode::CounterUnavailable,
-                    "counter votes are replica-internal: not served on this endpoint",
-                ))
-            } else {
-                self.handle_api(req)
-            }
-        });
-        encode_v2_response(&result)
+        let result = Json::parse(body)
+            .map_err(bad_envelope)
+            .and_then(|json| decode_v2_request(&json))
+            .and_then(|req| {
+                if scope == EndpointScope::Public && is_counter_op(&req) {
+                    Err(ApiError::new(
+                        ErrorCode::CounterUnavailable,
+                        "counter votes are replica-internal: not served on this endpoint",
+                    ))
+                } else {
+                    self.handle_api(req)
+                }
+            });
+        encode_v2_response(&result).render()
     }
 }
 
@@ -454,8 +277,7 @@ fn is_counter_op(request: &ApiRequest) -> bool {
 
 /// Parse a v2 envelope into an [`ApiRequest`].
 fn decode_v2_request(json: &Json) -> Result<ApiRequest, ApiError> {
-    let envelope = RequestEnvelope::from_json(json)
-        .map_err(|e| ApiError::new(ErrorCode::BadEnvelope, format!("bad envelope: {e}")))?;
+    let envelope = RequestEnvelope::from_json(json).map_err(bad_envelope)?;
     if envelope.v != PROTOCOL_VERSION {
         return Err(ApiError::new(
             ErrorCode::UnsupportedVersion,
@@ -494,6 +316,11 @@ fn decode_v2_request(json: &Json) -> Result<ApiRequest, ApiError> {
             format!("unknown op {other:?}"),
         )),
     }
+}
+
+/// The `bad_envelope` error for input that is not a v2 request envelope.
+fn bad_envelope(e: JsonError) -> ApiError {
+    ApiError::new(ErrorCode::BadEnvelope, format!("bad envelope: {e}"))
 }
 
 /// The error a live quorum member answers with while its node is crashed
@@ -548,27 +375,15 @@ fn encode_v2_response(result: &Result<ApiOk, ApiError>) -> Json {
     envelope.to_json()
 }
 
-/// Hex-encode a token's 86-byte wire image (the `token_hex` fields of both
-/// protocol generations).
+/// Hex-encode a token's 86-byte wire image (the `token_hex` fields).
 pub fn encode_token_hex(token: &Token) -> String {
-    let bytes = token.to_bytes();
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
+    hex::encode(token.to_bytes())
 }
 
-/// Decode a hex token string returned by the front end.
+/// Decode a hex token string returned by the front end; `None` for
+/// anything that is not exactly one well-formed token.
 pub fn decode_token_hex(s: &str) -> Option<Token> {
-    if s.len() != Token::SIZE * 2 {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(Token::SIZE);
-    for i in (0..s.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(&s[i..i + 2], 16).ok()?);
-    }
-    Token::from_bytes(&bytes).ok()
+    Token::from_bytes(&hex::decode(s).ok()?).ok()
 }
 
 #[cfg(test)]
@@ -592,17 +407,30 @@ mod tests {
         TokenRequest::super_token(Address::from_low_u64(1), Address::from_low_u64(2))
     }
 
+    fn issue(front: &FrontEnd) -> Result<Token, ApiError> {
+        match front.handle_api(ApiRequest::Issue(request()))? {
+            ApiOk::Token(token) => Ok(token),
+            other => panic!("expected a token, got {other:?}"),
+        }
+    }
+
+    /// Decode a `handle_json` answer into its v2 response envelope.
+    fn envelope(response: &str) -> ResponseEnvelope {
+        smacs_primitives::json::from_str(response).expect("v2 response envelope")
+    }
+
     #[test]
     fn issue_round_trip_through_json() {
         let front = front();
-        let body =
-            smacs_primitives::json::to_string(&FrontRequest::IssueToken { request: request() });
-        let response: FrontResponse =
-            smacs_primitives::json::from_str(&front.handle_json(&body)).unwrap();
-        let FrontResponse::Token { token_hex } = response else {
-            panic!("expected token, got {response:?}");
+        let body = RequestEnvelope {
+            v: PROTOCOL_VERSION,
+            op: "issue".into(),
+            body: Some(request().to_json()),
         };
-        let token = decode_token_hex(&token_hex).unwrap();
+        let response = envelope(&front.handle_json(&smacs_primitives::json::to_string(&body)));
+        assert!(response.ok, "{response:?}");
+        let body = IssueBody::from_json(&response.body.unwrap()).unwrap();
+        let token = decode_token_hex(&body.token_hex).unwrap();
         assert_eq!(token.ttype, TokenType::Super);
         assert_eq!(token.expire, 1_000 + 3_600);
     }
@@ -611,70 +439,57 @@ mod tests {
     fn denial_reports_reason_but_not_rules() {
         let front = front();
         front.service().set_rules(RuleBook::deny_all());
-        let response = front.handle(FrontRequest::IssueToken { request: request() });
-        let FrontResponse::Denied { reason } = response else {
-            panic!("expected denial");
-        };
+        let err = issue(&front).unwrap_err();
+        assert_eq!(err.code, ErrorCode::RuleViolation);
         // The denial must not leak list contents.
-        assert!(!reason.contains("0x"), "leaked rule detail: {reason}");
+        assert!(!err.message.contains("0x"), "leaked rule detail: {err}");
     }
 
     #[test]
     fn owner_secret_gates_rule_updates() {
         let front = front();
-        let bad = front.handle(FrontRequest::SetRules {
-            owner_secret: "wrong".into(),
-            rules: RuleBook::deny_all(),
-        });
-        assert!(matches!(bad, FrontResponse::Error { .. }));
+        let bad = front
+            .handle_api(ApiRequest::SetRules {
+                owner_secret: "wrong".into(),
+                rules: RuleBook::deny_all(),
+            })
+            .unwrap_err();
+        assert_eq!(bad.code, ErrorCode::Unauthorized);
         // Service still permissive.
-        assert!(matches!(
-            front.handle(FrontRequest::IssueToken { request: request() }),
-            FrontResponse::Token { .. }
-        ));
+        assert!(issue(&front).is_ok());
 
-        let good = front.handle(FrontRequest::SetRules {
+        let good = front.handle_api(ApiRequest::SetRules {
             owner_secret: "hunter2".into(),
             rules: RuleBook::deny_all(),
         });
-        assert_eq!(good, FrontResponse::RulesUpdated);
-        assert!(matches!(
-            front.handle(FrontRequest::IssueToken { request: request() }),
-            FrontResponse::Denied { .. }
-        ));
-    }
-
-    #[test]
-    fn malformed_json_is_an_error() {
-        let front = front();
-        let response: FrontResponse =
-            smacs_primitives::json::from_str(&front.handle_json("{not json")).unwrap();
-        assert!(matches!(response, FrontResponse::Error { .. }));
+        assert!(matches!(good, Ok(ApiOk::RulesSet)));
+        assert_eq!(issue(&front).unwrap_err().code, ErrorCode::RuleViolation);
     }
 
     #[test]
     fn ping_pong() {
-        assert_eq!(front().handle(FrontRequest::Ping), FrontResponse::Pong);
+        assert!(matches!(
+            front().handle_api(ApiRequest::Ping),
+            Ok(ApiOk::Pong)
+        ));
     }
 
     #[test]
     fn clock_advances_expiry() {
         let front = front();
         front.advance_time(100);
-        let FrontResponse::Token { token_hex } =
-            front.handle(FrontRequest::IssueToken { request: request() })
-        else {
-            panic!()
-        };
-        assert_eq!(decode_token_hex(&token_hex).unwrap().expire, 1_100 + 3_600);
+        assert_eq!(issue(&front).unwrap().expire, 1_100 + 3_600);
     }
 
     #[test]
     fn token_hex_rejects_garbage() {
         assert!(decode_token_hex("zz").is_none());
-        assert!(decode_token_hex(&"00".repeat(Token::SIZE)).is_none()); // bad type byte
+        // Bad type byte.
+        assert!(decode_token_hex(&"00".repeat(Token::SIZE)).is_none());
+        // Right length in bytes, but a multi-byte character straddles a
+        // digit pair.
+        assert!(decode_token_hex(&format!("a\u{e9}{}", "0".repeat(169))).is_none());
     }
-
     #[test]
     fn counter_ops_without_a_node_fail_closed() {
         let front = front();

@@ -1,5 +1,5 @@
 //! A pooled HTTP/1.1 server and keep-alive client for the [`crate::front`]
-//! protocols over TCP — the prototype's stand-in for the paper's
+//! protocol over TCP — the prototype's stand-in for the paper's
 //! "HTTPS-enabled web interface".
 //!
 //! # Threading model
@@ -51,8 +51,9 @@
 //! close) and transparently reconnects once, so non-idempotent calls
 //! never burn a round on a connection the server already abandoned; a
 //! failure *after* the request was sent is only retried for idempotent
-//! ops. The v1-era one-shot helper [`post_json`] remains for legacy
-//! single-request clients (and the back-compat tests).
+//! ops. Every body the server writes is a v2 response envelope — its own
+//! transport refusals (405, 400, 413, 503, injected 500s) included — so
+//! the client always decodes a machine-readable error code.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -96,15 +97,26 @@ const REQUEST_IO_TIMEOUT: Duration = Duration::from_secs(10);
 const OVERLOADED_BODY: &str =
     r#"{"v":2,"ok":false,"error":{"code":"internal","message":"server overloaded"}}"#;
 
+/// The body answered for a non-`POST` request (HTTP 405).
+const METHOD_NOT_ALLOWED_BODY: &str =
+    r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"POST only"}}"#;
+
+/// The body answered for a `POST` without a parseable `Content-Length`
+/// (HTTP 400).
+const UNFRAMEABLE_BODY: &str = r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"missing or invalid Content-Length"}}"#;
+
+/// The body answered for a body over [`MAX_BODY_BYTES`] (HTTP 413).
+const TOO_LARGE_BODY: &str =
+    r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"body too large"}}"#;
+
 /// The body answered for a fault-injected service failure ([`FaultPlan::
 /// fail_requests`]): an HTTP 500 whose envelope decodes to `internal`.
 const FAULTED_BODY: &str =
     r#"{"v":2,"ok":false,"error":{"code":"internal","message":"injected service fault"}}"#;
 
-/// Tuning knobs for [`HttpServer::start_with`].
-///
-/// Prefer [`HttpServerConfig::builder`]; the struct-literal form (with
-/// `..Default::default()`) remains supported for poller-era callers.
+/// Tuning knobs for [`HttpServer::start_with`]: set what you need in a
+/// struct literal, e.g. `HttpServerConfig { workers: 1,
+/// ..Default::default() }`.
 #[derive(Clone)]
 pub struct HttpServerConfig {
     /// Connection/signing worker threads. Defaults to
@@ -117,10 +129,6 @@ pub struct HttpServerConfig {
     /// retry backlog — their bytes sit in the socket; nothing is lost.
     /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
     pub queue_capacity: usize,
-    /// **Ignored.** The poller-era sweep cadence; the reactor is
-    /// readiness-driven (epoll) and never sweeps. Kept so poller-era
-    /// struct literals keep compiling unchanged.
-    pub poll_interval: Duration,
     /// How long a worker waits for the next pipelined request before
     /// parking a connection. Loopback turnarounds are microseconds, so a
     /// short grace keeps hot connections on their worker.
@@ -166,7 +174,6 @@ impl Default for HttpServerConfig {
         HttpServerConfig {
             workers: (2 * cores).max(2),
             queue_capacity: 1024,
-            poll_interval: Duration::from_millis(1),
             keepalive_grace: Duration::from_millis(1),
             idle_timeout: None,
             pool: None,
@@ -177,95 +184,6 @@ impl Default for HttpServerConfig {
             accept_backlog: 1_024,
             accept_queue_capacity: 64,
         }
-    }
-}
-
-impl HttpServerConfig {
-    /// Fluent construction with reactor-native knobs:
-    /// `HttpServerConfig::builder().workers(4).max_connections(10_000).build()`.
-    pub fn builder() -> HttpServerConfigBuilder {
-        HttpServerConfigBuilder {
-            config: HttpServerConfig::default(),
-        }
-    }
-}
-
-/// Builder for [`HttpServerConfig`] — see the field docs there.
-#[derive(Clone)]
-pub struct HttpServerConfigBuilder {
-    config: HttpServerConfig,
-}
-
-impl HttpServerConfigBuilder {
-    /// Worker threads (ignored when a shared [`Self::pool`] is supplied).
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n;
-        self
-    }
-
-    /// High-priority (request/signing) lane capacity.
-    pub fn queue_capacity(mut self, n: usize) -> Self {
-        self.config.queue_capacity = n;
-        self
-    }
-
-    /// Low-priority (accept-drain) lane capacity.
-    pub fn accept_queue_capacity(mut self, n: usize) -> Self {
-        self.config.accept_queue_capacity = n;
-        self
-    }
-
-    /// Ceiling on concurrently open connections (503 beyond it).
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.config.max_connections = n;
-        self
-    }
-
-    /// Kernel listen backlog depth.
-    pub fn accept_backlog(mut self, n: usize) -> Self {
-        self.config.accept_backlog = n;
-        self
-    }
-
-    /// Grace a worker waits for the next pipelined request before parking.
-    pub fn keepalive_grace(mut self, grace: Duration) -> Self {
-        self.config.keepalive_grace = grace;
-        self
-    }
-
-    /// Close parked connections idle longer than `limit`.
-    pub fn idle_timeout(mut self, limit: Duration) -> Self {
-        self.config.idle_timeout = Some(limit);
-        self
-    }
-
-    /// Serve connections on an existing shared pool.
-    pub fn pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.config.pool = Some(pool);
-        self
-    }
-
-    /// Bind to this exact address.
-    pub fn bind(mut self, addr: SocketAddr) -> Self {
-        self.config.bind = Some(addr);
-        self
-    }
-
-    /// Arm transport/service fault injection.
-    pub fn faults(mut self, faults: Arc<FaultPlan>) -> Self {
-        self.config.faults = Some(faults);
-        self
-    }
-
-    /// Which op families this listener dispatches.
-    pub fn scope(mut self, scope: EndpointScope) -> Self {
-        self.config.scope = scope;
-        self
-    }
-
-    /// Finish into an [`HttpServerConfig`].
-    pub fn build(self) -> HttpServerConfig {
-        self.config
     }
 }
 
@@ -684,35 +602,20 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     let client_close = headers.close;
 
     if method != "POST" {
-        write_response(
-            conn.stream(),
-            405,
-            true,
-            r#"{"status":"error","message":"POST only"}"#,
-        )?;
+        write_response(conn.stream(), 405, true, METHOD_NOT_ALLOWED_BODY)?;
         return Ok(true);
     }
     // A POST without a parseable Content-Length cannot be framed: refuse
     // and close rather than guess (guessing would leave body bytes in the
     // stream and desynchronize later keep-alive requests).
     let Some(content_length) = headers.content_length else {
-        write_response(
-            conn.stream(),
-            400,
-            true,
-            r#"{"status":"error","message":"missing or invalid Content-Length"}"#,
-        )?;
+        write_response(conn.stream(), 400, true, UNFRAMEABLE_BODY)?;
         return Ok(true);
     };
     // Oversized bodies are refused with the connection closed, for the
     // same framing reason.
     if content_length > MAX_BODY_BYTES {
-        write_response(
-            conn.stream(),
-            413,
-            true,
-            r#"{"status":"error","message":"body too large"}"#,
-        )?;
+        write_response(conn.stream(), 413, true, TOO_LARGE_BODY)?;
         return Ok(true);
     }
     let mut body = vec![0u8; content_length];
@@ -1160,30 +1063,9 @@ impl TsApi for HttpClient {
     }
 }
 
-/// A tiny blocking one-shot client (v1 era): one `POST /` per connection,
-/// `Connection: close`. Kept for legacy clients and the back-compat tests.
-pub fn post_json(addr: SocketAddr, body: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write!(
-        stream,
-        "POST / HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
-    let mut response = String::new();
-    BufReader::new(stream).read_to_string(&mut response)?;
-    let body_start = response
-        .find("\r\n\r\n")
-        .map(|i| i + 4)
-        .unwrap_or(response.len());
-    Ok(response[body_start..].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::front::{decode_token_hex, FrontRequest, FrontResponse};
     use crate::rules::RuleBook;
     use crate::service::{TokenService, TokenServiceConfig};
     use smacs_crypto::Keypair;
@@ -1206,22 +1088,6 @@ mod tests {
 
     fn request(low: u64) -> TokenRequest {
         TokenRequest::super_token(Address::from_low_u64(1), Address::from_low_u64(low))
-    }
-
-    #[test]
-    fn token_issuance_over_http_v1() {
-        let server = running_server();
-        let request = FrontRequest::IssueToken {
-            request: request(2),
-        };
-        let body = smacs_primitives::json::to_string(&request);
-        let response = post_json(server.addr(), &body).unwrap();
-        let parsed: FrontResponse = smacs_primitives::json::from_str(&response).unwrap();
-        let FrontResponse::Token { token_hex } = parsed else {
-            panic!("expected token, got {parsed:?}");
-        };
-        assert!(decode_token_hex(&token_hex).is_some());
-        server.shutdown();
     }
 
     #[test]
@@ -1264,9 +1130,10 @@ mod tests {
         // instead of surfacing a transport error.
         let server = HttpServer::start_with(
             front(),
-            HttpServerConfig::builder()
-                .idle_timeout(Duration::from_millis(40))
-                .build(),
+            HttpServerConfig {
+                idle_timeout: Some(Duration::from_millis(40)),
+                ..Default::default()
+            },
         )
         .unwrap();
         let client = HttpClient::connect(server.addr());
@@ -1287,7 +1154,10 @@ mod tests {
         // path — while the established two keep being served.
         let server = HttpServer::start_with(
             front(),
-            HttpServerConfig::builder().max_connections(2).build(),
+            HttpServerConfig {
+                max_connections: 2,
+                ..Default::default()
+            },
         )
         .unwrap();
         let held: Vec<HttpClient> = (0..2).map(|_| HttpClient::connect(server.addr())).collect();
@@ -1328,61 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_sets_reactor_native_knobs() {
-        let config = HttpServerConfig::builder()
-            .workers(3)
-            .queue_capacity(7)
-            .accept_queue_capacity(5)
-            .max_connections(11)
-            .accept_backlog(13)
-            .keepalive_grace(Duration::from_millis(2))
-            .idle_timeout(Duration::from_millis(17))
-            .scope(EndpointScope::Vote)
-            .build();
-        assert_eq!(config.workers, 3);
-        assert_eq!(config.queue_capacity, 7);
-        assert_eq!(config.accept_queue_capacity, 5);
-        assert_eq!(config.max_connections, 11);
-        assert_eq!(config.accept_backlog, 13);
-        assert_eq!(config.keepalive_grace, Duration::from_millis(2));
-        assert_eq!(config.idle_timeout, Some(Duration::from_millis(17)));
-        assert_eq!(config.scope, EndpointScope::Vote);
-    }
-
-    #[test]
-    fn poller_era_struct_literal_still_serves_with_poll_interval_ignored() {
-        // The poller-era struct-literal configuration path must keep
-        // compiling and serving; `poll_interval` is accepted but ignored
-        // (the reactor never sweeps).
-        let server = HttpServer::start_with(
-            front(),
-            HttpServerConfig {
-                workers: 2,
-                poll_interval: Duration::from_millis(250),
-                ..HttpServerConfig::default()
-            },
-        )
-        .unwrap();
-        let client = HttpClient::connect(server.addr());
-        client.ping().unwrap();
-        // A parked connection answers far faster than the configured
-        // 250 ms "sweep" would allow — proof the knob is dead.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.parked_connections() == 0 {
-            assert!(Instant::now() < deadline, "connection never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let start = Instant::now();
-        client.ping().unwrap();
-        assert!(
-            start.elapsed() < Duration::from_millis(200),
-            "parked wake took {:?} — is something sweeping?",
-            start.elapsed()
-        );
-        server.shutdown();
-    }
-
-    #[test]
     fn concurrent_clients() {
         let server = running_server();
         let addr = server.addr();
@@ -1401,15 +1216,28 @@ mod tests {
     }
 
     #[test]
-    fn non_post_is_rejected() {
+    fn transport_refusals_answer_v2_bad_envelope() {
         let server = running_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        write!(stream, "GET / HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        BufReader::new(stream)
-            .read_to_string(&mut response)
-            .unwrap();
-        assert!(response.starts_with("HTTP/1.1 405"));
+        for (head, code) in [
+            ("GET / HTTP/1.1\r\nHost: x\r\n\r\n".to_string(), 405),
+            (
+                format!(
+                    "POST / HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                    MAX_BODY_BYTES + 1
+                ),
+                413,
+            ),
+        ] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(head.as_bytes()).unwrap();
+            let (status, body) = read_response(&mut BufReader::new(stream)).unwrap();
+            assert_eq!(status, code);
+            // Decoded the way `HttpClient` decodes any non-5xx answer.
+            let envelope = ResponseEnvelope::from_json(&Json::parse(&body).unwrap()).unwrap();
+            assert!(!envelope.ok);
+            let err = ApiError::from(envelope.error.unwrap());
+            assert_eq!(err.code, ErrorCode::BadEnvelope, "{code}: {err}");
+        }
         server.shutdown();
     }
 
@@ -1427,9 +1255,14 @@ mod tests {
 
     #[test]
     fn idle_connections_park_instead_of_pinning_workers() {
-        let server =
-            HttpServer::start_with(front(), HttpServerConfig::builder().workers(2).build())
-                .unwrap();
+        let server = HttpServer::start_with(
+            front(),
+            HttpServerConfig {
+                workers: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         // More idle keep-alive clients than workers: all must get served
         // (so none is starved by a pinned worker) and then sit parked.
         let clients: Vec<HttpClient> = (0..6).map(|_| HttpClient::connect(server.addr())).collect();

@@ -11,9 +11,9 @@
 //!   keep-alive connection — batch issuance amortizes per-request wire
 //!   overhead, and error codes mirror [`IssueError`] without leaking rule
 //!   detail (§VII-A d);
-//! - the **front end** ([`front`] for the JSON protocols — v2 envelopes
-//!   plus the legacy v1 shapes — and [`http`] for the threaded TCP/HTTP
-//!   server) through which owners and clients interact;
+//! - the **front end** ([`front`] for the JSON protocol — v2 envelopes,
+//!   the only protocol — and [`http`] for the threaded TCP/HTTP server)
+//!   through which owners and clients interact;
 //! - the **access granting** module ([`service`]) that checks rule
 //!   compliance ([`rules`] — Fig. 6's white/blacklists, dynamically
 //!   updatable by the owner without touching the deployed contract) and
@@ -56,16 +56,16 @@
 //!   worker serves a connection only while it is talking, then parks it
 //!   in the reactor's epoll set, where 50 000+ idle keep-alive
 //!   connections cost zero steady-state CPU — the reactor blocks in
-//!   `epoll_wait` until one becomes readable, closes, or idles out
-//!   ([`http::HttpServerConfig::builder`] exposes `workers`,
-//!   `queue_capacity`, `accept_queue_capacity`, `max_connections`,
-//!   `accept_backlog`, `keepalive_grace`, `idle_timeout`, and an
-//!   optional shared `pool`).
-//! - **Endpoint bring-up is one API**: the public listener and every
-//!   vote endpoint bind through [`endpoint::Endpoint`] /
-//!   [`EndpointScope`](front::EndpointScope), so they ride the same
-//!   reactor machinery and the same [`fault::FaultPlan`] injection
-//!   points.
+//!   `epoll_wait` until one becomes readable, closes, or idles out. One
+//!   struct literal configures a server: [`http::HttpServerConfig`] with
+//!   `..Default::default()` (`workers`, `queue_capacity`,
+//!   `accept_queue_capacity`, `max_connections`, `accept_backlog`,
+//!   `keepalive_grace`, `idle_timeout`, an optional shared `pool`, …).
+//! - **Every listener binds one way**: the public listener and every
+//!   vote endpoint are [`http::HttpServer::start_with`] calls whose
+//!   config names the [`EndpointScope`](front::EndpointScope), so they
+//!   ride the same reactor machinery and the same [`fault::FaultPlan`]
+//!   injection points.
 //! - **Batch signing** fans the ~90 µs per-token `k·G` across the pool
 //!   with caller participation (no pool-within-pool deadlock), preserving
 //!   per-item partial failure and request-order results; one-time indexes
@@ -166,7 +166,6 @@
 pub mod api;
 pub mod cluster;
 pub mod discovery;
-pub mod endpoint;
 pub mod failover;
 pub mod fault;
 pub mod front;
@@ -182,12 +181,9 @@ pub mod wal;
 pub use api::{ApiError, ErrorCode, InProcessClient, TsApi, MAX_BATCH, PROTOCOL_VERSION};
 pub use cluster::{CounterMode, ReplicaSet, ReplicaSetConfig};
 pub use discovery::ServiceDirectory;
-pub use endpoint::Endpoint;
 pub use failover::{BreakerConfig, FailoverClient, RetryPolicy};
 pub use fault::FaultPlan;
-pub use http::{
-    HttpClient, HttpClientConfig, HttpServer, HttpServerConfig, HttpServerConfigBuilder,
-};
+pub use http::{HttpClient, HttpClientConfig, HttpServer, HttpServerConfig};
 pub use replica::{CommitReply, CounterCluster, CounterNode, CounterTransport, LocalTransport};
 pub use rules::{ListPolicy, RuleBook, RuleViolation, TypeRules};
 pub use service::{IssueError, ShardedRules, TokenService, TokenServiceConfig};

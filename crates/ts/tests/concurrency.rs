@@ -37,8 +37,14 @@ fn hammering_clients_get_unique_indexes_and_clean_shutdown() {
     const BATCHES: usize = 3;
     const BATCH: usize = 16;
 
-    let server =
-        HttpServer::start_with(front(77), HttpServerConfig::builder().workers(4).build()).unwrap();
+    let server = HttpServer::start_with(
+        front(77),
+        HttpServerConfig {
+            workers: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let addr = server.addr();
 
     let handles: Vec<_> = (0..CLIENTS as u64)
@@ -109,7 +115,10 @@ fn one_pool_can_serve_connections_and_fan_out_signing() {
     let front = Arc::new(FrontEnd::new(service, "stress-owner", 0));
     let server = HttpServer::start_with(
         front,
-        HttpServerConfig::builder().pool(pool.clone()).build(),
+        HttpServerConfig {
+            pool: Some(pool.clone()),
+            ..Default::default()
+        },
     )
     .unwrap();
 
@@ -208,8 +217,14 @@ fn connection_storm_does_not_stall_batch_signing() {
     const BATCHES: usize = 24;
     const BATCH: usize = 8;
 
-    let server =
-        HttpServer::start_with(front(80), HttpServerConfig::builder().workers(4).build()).unwrap();
+    let server = HttpServer::start_with(
+        front(80),
+        HttpServerConfig {
+            workers: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
     let addr = server.addr();
 
     // Fill the epoll set: hundreds of established, idle connections.

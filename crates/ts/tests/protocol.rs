@@ -1,19 +1,20 @@
-//! Front-end protocol coverage: v1↔v2 coexistence, malformed-envelope
-//! rejection, batch partial-failure semantics, and keep-alive connection
-//! reuse.
+//! Front-end protocol coverage: malformed-envelope rejection (in process
+//! and over raw sockets), batch partial-failure semantics, and keep-alive
+//! connection reuse.
 
 use smacs_crypto::Keypair;
 use smacs_primitives::json::{FromJson, Json, ToJson};
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
-use smacs_ts::front::{decode_token_hex, FrontEnd, FrontRequest, FrontResponse};
-use smacs_ts::http::{post_json, HttpClient, HttpServer};
+use smacs_ts::api::ResponseEnvelope;
+use smacs_ts::front::FrontEnd;
+use smacs_ts::http::{HttpClient, HttpServer};
 use smacs_ts::{
     ErrorCode, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi, MAX_BATCH,
     PROTOCOL_VERSION,
 };
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 fn front() -> Arc<FrontEnd> {
@@ -53,63 +54,24 @@ fn error_code(response: &Json) -> &str {
         .expect("error code")
 }
 
-// ---- v1 ↔ v2 round trips ----
-
-#[test]
-fn same_front_end_answers_both_protocol_generations() {
-    let front = front();
-
-    // v1: unversioned envelope, v1 response vocabulary.
-    let v1_body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-        request: request(1),
-    });
-    let v1_response: FrontResponse =
-        smacs_primitives::json::from_str(&front.handle_json(&v1_body)).unwrap();
-    let FrontResponse::Token { token_hex } = v1_response else {
-        panic!("v1 expected token, got {v1_response:?}");
-    };
-    let v1_token = decode_token_hex(&token_hex).unwrap();
-
-    // v2: versioned envelope, enveloped response.
-    let v2_response = parse(&front.handle_json(&v2("issue", request(1).to_json())));
-    assert_eq!(v2_response.get("v").and_then(Json::as_int), Some(2));
-    assert_eq!(v2_response.get("ok").and_then(Json::as_bool), Some(true));
-    let token_hex = v2_response
-        .get("body")
-        .and_then(|b| b.get("token_hex"))
-        .and_then(Json::as_str)
+/// One raw `POST /` with `Connection: close`: the status code and the
+/// response body, read until the server hangs up.
+fn post_raw(addr: SocketAddr, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let mut response = String::new();
+    BufReader::new(stream)
+        .read_to_string(&mut response)
         .unwrap();
-    let v2_token = decode_token_hex(token_hex).unwrap();
-
-    // Same service, same clock, same request → identical tokens.
-    assert_eq!(v1_token, v2_token);
-}
-
-#[test]
-fn v1_and_v2_report_the_same_denial_with_different_vocabulary() {
-    let front = front();
-    front.service().set_rules(RuleBook::deny_all());
-
-    let v1_body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-        request: request(1),
-    });
-    let v1: FrontResponse = smacs_primitives::json::from_str(&front.handle_json(&v1_body)).unwrap();
-    let FrontResponse::Denied { reason } = v1 else {
-        panic!("expected v1 denial, got {v1:?}");
-    };
-
-    let v2_response = parse(&front.handle_json(&v2("issue", request(1).to_json())));
-    assert_eq!(v2_response.get("ok").and_then(Json::as_bool), Some(false));
-    assert_eq!(error_code(&v2_response), "rule_violation");
-    let message = v2_response
-        .get("error")
-        .and_then(|e| e.get("message"))
-        .and_then(Json::as_str)
-        .unwrap();
-    // The coarse human-readable reason is shared between generations, and
-    // leaks no rule contents (§VII-A d).
-    assert_eq!(message, reason);
-    assert!(!message.contains("0x"), "leaked rule detail: {message}");
+    let (head, body) = response.split_once("\r\n\r\n").expect("header separator");
+    let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+    (status, body.to_string())
 }
 
 // ---- malformed envelopes ----
@@ -153,11 +115,40 @@ fn malformed_envelopes_are_rejected_with_machine_readable_codes() {
     let response = parse(&front.handle_json(&v2("issue", bad.to_json())));
     assert_eq!(error_code(&response), "invalid_request");
 
-    // Unparseable JSON still answers in the legacy (v1) error shape —
-    // there is no way to tell which generation the client speaks.
-    let response: FrontResponse =
-        smacs_primitives::json::from_str(&front.handle_json("{not json")).unwrap();
-    assert!(matches!(response, FrontResponse::Error { .. }));
+    // Unparseable JSON and unversioned bodies are not v2 envelopes.
+    let response = parse(&front.handle_json("{not json"));
+    assert_eq!(error_code(&response), "bad_envelope");
+    let response = parse(&front.handle_json(r#"{"op":"ping"}"#));
+    assert_eq!(error_code(&response), "bad_envelope");
+}
+
+#[test]
+fn non_envelope_bodies_are_refused_over_http_and_mint_nothing() {
+    let server = HttpServer::start(front()).unwrap();
+    let unversioned = format!(
+        r#"{{"op":"issue_token","request":{}}}"#,
+        request(1).one_time().to_json().render()
+    );
+    // A million `[` is under the body cap; the parser's depth limit must
+    // refuse it before it can overflow a worker's stack.
+    let deep = "[".repeat(1_000_000);
+    for body in [unversioned.as_str(), "{not json", deep.as_str()] {
+        let (status, text) = post_raw(server.addr(), body);
+        assert_eq!(status, 200);
+        let response = parse(&text);
+        assert_eq!(response.get("v").and_then(Json::as_int), Some(2));
+        assert_eq!(
+            error_code(&response),
+            "bad_envelope",
+            "{}",
+            body.get(..16).unwrap_or(body)
+        );
+    }
+    // The server is still up, and no one-time index was burned.
+    let client = HttpClient::connect(server.addr());
+    let token = client.issue(&request(1).one_time()).unwrap();
+    assert_eq!(token.index, 0);
+    server.shutdown();
 }
 
 // ---- batch partial failure ----
@@ -367,21 +358,22 @@ fn post_without_content_length_is_rejected_with_400_and_close() {
         .unwrap();
     assert!(response.starts_with("HTTP/1.1 400"), "{response}");
     assert!(response.to_ascii_lowercase().contains("connection: close"));
+    let (_, body) = response.split_once("\r\n\r\n").unwrap();
+    let envelope = ResponseEnvelope::from_json(&parse(body)).unwrap();
+    assert!(!envelope.ok);
+    assert_eq!(envelope.error.unwrap().code, "bad_envelope");
     server.shutdown();
 }
 
 #[test]
-fn v1_close_semantics_still_honored_per_request() {
-    // post_json sends `Connection: close`; the server must answer and hang
-    // up, and a second call must open a fresh connection successfully.
+fn close_semantics_honored_per_request() {
+    // `Connection: close` on a v2 request: the server must answer and hang
+    // up (`post_raw` reads to EOF), and each call opens a fresh connection.
     let server = HttpServer::start(front()).unwrap();
     for i in 0..3 {
-        let body = smacs_primitives::json::to_string(&FrontRequest::IssueToken {
-            request: request(30 + i),
-        });
-        let response = post_json(server.addr(), &body).unwrap();
-        let parsed: FrontResponse = smacs_primitives::json::from_str(&response).unwrap();
-        assert!(matches!(parsed, FrontResponse::Token { .. }), "{parsed:?}");
+        let (status, text) = post_raw(server.addr(), &v2("issue", request(30 + i).to_json()));
+        assert_eq!(status, 200);
+        assert_eq!(parse(&text).get("ok").and_then(Json::as_bool), Some(true));
     }
     server.shutdown();
 }

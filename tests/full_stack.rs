@@ -10,12 +10,14 @@ use smacs::core::owner::{OwnerToolkit, ShieldParams};
 use smacs::crypto::Keypair;
 use smacs::token::{TokenRequest, TokenType};
 use smacs::ts::discovery::ContractMetadata;
-use smacs::ts::front::{decode_token_hex, FrontEnd, FrontRequest, FrontResponse};
-use smacs::ts::http::{post_json, HttpClient, HttpServer};
+use smacs::ts::front::FrontEnd;
+use smacs::ts::http::{HttpClient, HttpServer};
 use smacs::ts::{
     CounterCluster, ErrorCode, InProcessClient, ListPolicy, RuleBook, TokenService,
     TokenServiceConfig, TsApi,
 };
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 fn small_shield() -> ShieldParams {
@@ -108,11 +110,13 @@ fn discovery_http_issuance_and_onchain_spend() {
     server.shutdown();
 }
 
-/// Back-compat: a v1-format `POST /token`-era request (unversioned
-/// envelope, one request per connection) is still accepted end-to-end —
-/// the token it returns spends on-chain.
+/// The TS speaks only protocol v2: an unversioned `issue_token` body (the
+/// shape of the prototype's first clients) sent over a raw socket is
+/// refused with `bad_envelope`, while the same request
+/// through the v2 client yields a token that spends on-chain, and a v2
+/// rule rotation takes effect on the next issue.
 #[test]
-fn v1_post_token_request_still_accepted() {
+fn unversioned_request_is_refused_over_http() {
     let mut chain = Chain::default_chain();
     let owner = chain.funded_keypair(1, 10u128.pow(24));
     let alice = ClientWallet::new(chain.funded_keypair(2, 10u128.pow(24)));
@@ -127,40 +131,40 @@ fn v1_post_token_request_still_accepted() {
     );
     let now = chain.pending_env().timestamp;
     let server = HttpServer::start(Arc::new(FrontEnd::new(service, "owner-secret", now))).unwrap();
+    let request =
+        TokenRequest::method_token(target.address, alice.address(), BenchTarget::PING_SIG);
 
-    // The v1 wire shape, byte-for-byte what the seed's clients sent.
-    let request = FrontRequest::IssueToken {
-        request: TokenRequest::method_token(target.address, alice.address(), BenchTarget::PING_SIG),
-    };
-    let body = smacs_primitives::json::to_string(&request);
-    let response = post_json(server.addr(), &body).unwrap();
-    let parsed: FrontResponse = smacs_primitives::json::from_str(&response).unwrap();
-    let FrontResponse::Token { token_hex } = parsed else {
-        panic!("expected a token, got {parsed:?}");
-    };
-    let token = decode_token_hex(&token_hex).expect("valid wire token");
+    let body = format!(
+        r#"{{"op":"issue_token","request":{}}}"#,
+        smacs_primitives::json::to_string(&request)
+    );
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    write!(
+        stream,
+        "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (_, response) = response.split_once("\r\n\r\n").unwrap();
+    let response = smacs_primitives::json::Json::parse(response).unwrap();
+    let error = response.get("error").and_then(|e| e.get("code"));
+    assert_eq!(error.and_then(|c| c.as_str()), Some("bad_envelope"));
 
+    let client = HttpClient::connect(server.addr());
+    let token = client.issue(&request).unwrap();
     let payload = BenchTarget::ping_payload(19, 23);
     let receipt = alice
         .call_with_token(&mut chain, target.address, 0, &payload, token)
         .unwrap();
     assert!(receipt.status.is_success(), "{:?}", receipt.status);
 
-    // v1 rule rotation still answers in the v1 vocabulary.
-    let update = FrontRequest::SetRules {
-        owner_secret: "owner-secret".into(),
-        rules: RuleBook::deny_all(),
-    };
-    let response = post_json(server.addr(), &smacs_primitives::json::to_string(&update)).unwrap();
-    assert!(matches!(
-        smacs_primitives::json::from_str::<FrontResponse>(&response).unwrap(),
-        FrontResponse::RulesUpdated
-    ));
-    let response = post_json(server.addr(), &body).unwrap();
-    assert!(matches!(
-        smacs_primitives::json::from_str::<FrontResponse>(&response).unwrap(),
-        FrontResponse::Denied { .. }
-    ));
+    client
+        .set_rules("owner-secret", RuleBook::deny_all())
+        .unwrap();
+    let err = client.issue(&request).unwrap_err();
+    assert_eq!(err.code, ErrorCode::RuleViolation);
 
     server.shutdown();
 }
