@@ -10,7 +10,6 @@ pub mod address;
 pub mod bytes;
 pub mod epoch;
 pub mod hash;
-pub mod hexutil;
 pub mod json;
 pub mod pool;
 pub mod rlp;

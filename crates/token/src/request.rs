@@ -13,7 +13,6 @@
 //! also serialize to JSON for the TS's web front end.
 
 use smacs_chain::abi::{selector, Selector};
-use smacs_primitives::hexutil;
 use smacs_primitives::json::{FromJson, Json, JsonError, ToJson};
 use smacs_primitives::Address;
 use std::fmt;
@@ -253,7 +252,7 @@ impl ToJson for TokenRequest {
             (
                 "calldata".into(),
                 match &self.calldata {
-                    Some(data) => Json::Str(hexutil::encode_prefixed(data)),
+                    Some(data) => Json::Str(format!("0x{}", hex::encode(data))),
                     None => Json::Null,
                 },
             ),
@@ -267,8 +266,8 @@ impl FromJson for TokenRequest {
         let calldata = match json.get("calldata") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(
-                hexutil::decode_flexible(s)
-                    .ok_or_else(|| JsonError(format!("bad calldata hex {s:?}")))?,
+                hex::decode(s.strip_prefix("0x").unwrap_or(s))
+                    .map_err(|_| JsonError(format!("bad calldata hex {s:?}")))?,
             ),
             Some(other) => {
                 return Err(JsonError(format!("bad calldata value {other}")));
@@ -480,6 +479,36 @@ mod tests {
         let json = smacs_primitives::json::to_string(&req);
         let back: TokenRequest = smacs_primitives::json::from_str(&json).unwrap();
         assert_eq!(back, req);
+    }
+
+    #[test]
+    fn json_calldata_is_0x_hex_and_the_prefix_is_optional() {
+        let req = TokenRequest::argument_token(
+            contract(),
+            sender(),
+            "f()",
+            vec![],
+            vec![0x12, 0x34, 0xab],
+        );
+        let json = req.to_json();
+        assert_eq!(
+            json.get("calldata").and_then(Json::as_str),
+            Some("0x1234ab")
+        );
+        let bare = |calldata: &str| {
+            let mut json = json.clone();
+            if let Json::Obj(fields) = &mut json {
+                for (key, value) in fields.iter_mut() {
+                    if key == "calldata" {
+                        *value = Json::Str(calldata.into());
+                    }
+                }
+            }
+            TokenRequest::from_json(&json)
+        };
+        assert_eq!(bare("1234ab").unwrap(), req);
+        assert!(matches!(bare("xyz"), Err(JsonError(_))));
+        assert!(matches!(bare("0xzz"), Err(JsonError(_))));
     }
 
     proptest! {

@@ -1,6 +1,11 @@
 //! A replicated Token Service: N issuing nodes that survive failures
 //! (§VII-B availability).
 //!
+//! A standalone [`TokenService`] is the n = 1 case: a one-replica,
+//! one-shard service holding a one-shard [`ShardedRules`] and a one-node
+//! [`CounterCluster`] of its own. A set swaps in the shared shards and
+//! each replica's view of the quorum counter; nothing else changes.
+//!
 //! "A TS service can be easily replicated as all its replicas can share
 //! the same service key pair" — a [`ReplicaSet`] runs `n` full
 //! [`TokenService`] instances, each behind its own [`HttpServer`] on its
@@ -25,12 +30,12 @@
 //!
 //! ## The counter quorum is on the wire
 //!
-//! By default ([`CounterMode::Wire`]) counter votes are real protocol-v2
-//! messages: each replica serves the `counter_prepare` / `counter_commit`
-//! / `counter_catchup` op family on a **dedicated vote endpoint** (its
-//! own `HttpServer` with a small private pool, so issuance load can never
-//! starve vote processing into a distributed deadlock). The vote op
-//! family is served *only* there: the client-facing listeners run with
+//! Counter votes are real protocol-v2 messages: each replica serves the
+//! `counter_prepare` / `counter_commit` / `counter_catchup` op family on
+//! a **dedicated vote endpoint** (its own `HttpServer` with a small
+//! private pool, so issuance load can never starve vote processing into
+//! a distributed deadlock). The vote op family is served *only* there:
+//! the client-facing listeners run with
 //! [`crate::front::EndpointScope::Public`] and refuse `counter_*` with
 //! `counter_unavailable`, so a hostile client cannot vote indexes burned
 //! or skipped. Each replica's coordinator reaches its peers through a wire
@@ -39,8 +44,7 @@
 //! logs its commits ([`crate::wal::Wal`], fsync before ack), so
 //! [`ReplicaSet::recover`] rebuilds a crashed replica's vote state from
 //! its WAL (RAM is explicitly discarded) and then catches it up past any
-//! indexes it missed via `counter_catchup`. [`CounterMode::InProcess`]
-//! keeps the PR-4 shared-memory cluster for comparison and unit tests.
+//! indexes it missed via `counter_catchup`.
 //!
 //! The *sending* side of every wire transport consults its replica's
 //! [`FaultPlan`] per peer address, which is how the chaos suite drives
@@ -57,10 +61,10 @@
 //! node — the replica keeps serving, modelling a network partition
 //! between the consensus group and one member.
 //!
-//! Replicas live in one process here (this is a simulator), but in wire
-//! mode nothing crosses between their counter nodes except TCP — the
-//! shared `Arc`s are limited to the signing key and rule shards a real
-//! deployment would distribute out of band.
+//! Replicas live in one process here (this is a simulator), but nothing
+//! crosses between their counter nodes except TCP — the shared `Arc`s
+//! are limited to the signing key and rule shards a real deployment
+//! would distribute out of band.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -86,18 +90,6 @@ use crate::service::{ShardedRules, TokenService, TokenServiceConfig};
 /// process (the test suite starts many).
 static SET_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// How one-time counter votes travel between replicas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CounterMode {
-    /// Votes are protocol-v2 `counter_*` ops over TCP against each
-    /// replica's dedicated vote endpoint; commits are WAL-durable. The
-    /// default — the distributed protocol the chaos suite certifies.
-    Wire,
-    /// Votes go through shared memory (the PR-4 form). No vote endpoints,
-    /// no WAL unless [`ReplicaSetConfig::wal_dir`] is set.
-    InProcess,
-}
-
 /// Tuning for [`ReplicaSet::start`].
 #[derive(Clone)]
 pub struct ReplicaSetConfig {
@@ -121,13 +113,10 @@ pub struct ReplicaSetConfig {
     pub http: HttpServerConfig,
     /// Initial TS-local clock.
     pub now: u64,
-    /// How counter votes travel (default: [`CounterMode::Wire`]).
-    pub counter_mode: CounterMode,
     /// Directory for per-replica counter WALs (`counter-{id}.wal`).
-    /// `None`: wire mode logs into a fresh per-set temp directory that is
-    /// removed on [`ReplicaSet::shutdown`]; in-process mode runs
-    /// memory-only. `Some(dir)`: logs persist there across sets (the
-    /// caller owns cleanup), in either mode.
+    /// `None`: the set logs into a fresh per-set temp directory that is
+    /// removed on [`ReplicaSet::shutdown`]. `Some(dir)`: logs persist
+    /// there across sets (the caller owns cleanup).
     pub wal_dir: Option<PathBuf>,
 }
 
@@ -140,7 +129,6 @@ impl Default for ReplicaSetConfig {
             service: TokenServiceConfig::default(),
             http: HttpServerConfig::default(),
             now: 0,
-            counter_mode: CounterMode::Wire,
             wal_dir: None,
         }
     }
@@ -277,14 +265,12 @@ struct Replica {
     faults: Arc<FaultPlan>,
     /// This replica's counter node (vote state machine).
     node: Arc<CounterNode>,
-    /// Wire mode: the dedicated vote endpoint (`None` while killed, and
-    /// always `None` in in-process mode).
+    /// The dedicated vote endpoint (`None` while killed).
     counter_server: Option<HttpServer>,
-    /// Wire mode: the vote endpoint's address — stable across
-    /// kill/recover.
-    counter_addr: Option<SocketAddr>,
+    /// The vote endpoint's address — stable across kill/recover.
+    counter_addr: SocketAddr,
     /// This replica's coordinator view of the quorum (self local, peers
-    /// wired in wire mode; the one shared cluster in in-process mode).
+    /// over the wire).
     cluster: CounterCluster,
 }
 
@@ -297,8 +283,7 @@ pub struct ReplicaSet {
     signer: Keypair,
     config: ReplicaSetConfig,
     /// A WAL temp directory this set created and owns (removed on
-    /// shutdown); `None` when the caller supplied `wal_dir` or no WAL is
-    /// in play.
+    /// shutdown); `None` when the caller supplied `wal_dir`.
     owned_wal_dir: Option<PathBuf>,
 }
 
@@ -315,66 +300,50 @@ impl ReplicaSet {
     ) -> std::io::Result<ReplicaSet> {
         assert!(config.replicas > 0, "need at least one replica");
 
-        // WAL placement: wire mode always logs (own temp dir if the
-        // caller didn't name one); in-process mode logs only on request.
-        let mut owned_wal_dir = None;
-        let wal_dir = match (&config.wal_dir, config.counter_mode) {
-            (Some(dir), _) => {
-                std::fs::create_dir_all(dir)?;
-                Some(dir.clone())
-            }
-            (None, CounterMode::Wire) => {
-                let mut dir = std::env::temp_dir();
-                dir.push(format!(
+        // Every node logs: into the caller's directory, or into a temp
+        // directory this set owns.
+        let (wal_dir, owned_wal_dir) = match &config.wal_dir {
+            Some(dir) => (dir.clone(), None),
+            None => {
+                let dir = std::env::temp_dir().join(format!(
                     "smacs-replica-wal-{}-{}",
                     std::process::id(),
                     SET_SEQ.fetch_add(1, Ordering::Relaxed)
                 ));
-                std::fs::create_dir_all(&dir)?;
-                owned_wal_dir = Some(dir.clone());
-                Some(dir)
+                (dir.clone(), Some(dir))
             }
-            (None, CounterMode::InProcess) => None,
         };
+        std::fs::create_dir_all(&wal_dir)?;
 
         let mut nodes = Vec::with_capacity(config.replicas);
         for id in 0..config.replicas {
-            nodes.push(match &wal_dir {
-                Some(dir) => CounterNode::with_wal(&dir.join(format!("counter-{id}.wal")))?.0,
-                None => CounterNode::new(),
-            });
+            nodes.push(CounterNode::with_wal(&wal_dir.join(format!("counter-{id}.wal")))?.0);
         }
         let diag = CounterCluster::from_nodes(nodes.clone());
 
         let shards = ShardedRules::new(config.rule_shards, rules);
         let faults: Vec<Arc<FaultPlan>> = (0..config.replicas).map(|_| FaultPlan::new()).collect();
 
-        // Per-replica coordinator clusters. In wire mode replica `i`
-        // reaches itself locally and each peer `j` through a wire
-        // transport whose target is filled in once the vote endpoints are
-        // bound below.
-        let mut wires: Vec<Vec<(usize, Arc<WireCounterTransport>)>> = Vec::new();
-        let clusters: Vec<CounterCluster> = match config.counter_mode {
-            CounterMode::InProcess => (0..config.replicas).map(|_| diag.clone()).collect(),
-            CounterMode::Wire => (0..config.replicas)
-                .map(|i| {
-                    let mut outgoing = Vec::new();
-                    let members = (0..config.replicas)
-                        .map(|j| -> Arc<dyn CounterTransport> {
-                            if i == j {
-                                Arc::new(LocalTransport(nodes[i].clone()))
-                            } else {
-                                let wire = WireCounterTransport::new(faults[i].clone());
-                                outgoing.push((j, wire.clone()));
-                                wire
-                            }
-                        })
-                        .collect();
-                    wires.push(outgoing);
-                    CounterCluster::from_transports(members)
-                })
-                .collect(),
-        };
+        // Per-replica coordinator clusters: replica `i` reaches itself
+        // locally and each peer `j` through a wire transport whose target
+        // is filled in once the vote endpoints are bound below.
+        let mut wires: Vec<(usize, Arc<WireCounterTransport>)> = Vec::new();
+        let clusters: Vec<CounterCluster> = (0..config.replicas)
+            .map(|i| {
+                let members = (0..config.replicas)
+                    .map(|j| -> Arc<dyn CounterTransport> {
+                        if i == j {
+                            Arc::new(LocalTransport(nodes[i].clone()))
+                        } else {
+                            let wire = WireCounterTransport::new(faults[i].clone());
+                            wires.push((j, wire.clone()));
+                            wire
+                        }
+                    })
+                    .collect();
+                CounterCluster::from_transports(members)
+            })
+            .collect();
 
         let mut replicas = Vec::with_capacity(config.replicas);
         for (id, cluster) in clusters.into_iter().enumerate() {
@@ -393,17 +362,14 @@ impl ReplicaSet {
                 )
                 .with_counter(nodes[id].clone()),
             );
-            let counter_server = match config.counter_mode {
-                CounterMode::Wire => Some(HttpServer::start_with(
-                    front.clone(),
-                    HttpServerConfig {
-                        scope: EndpointScope::Vote,
-                        ..vote_server_config()
-                    },
-                )?),
-                CounterMode::InProcess => None,
-            };
-            let counter_addr = counter_server.as_ref().map(HttpServer::addr);
+            let counter_server = HttpServer::start_with(
+                front.clone(),
+                HttpServerConfig {
+                    scope: EndpointScope::Vote,
+                    ..vote_server_config()
+                },
+            )?;
+            let counter_addr = counter_server.addr();
             let server = HttpServer::start_with(
                 front.clone(),
                 HttpServerConfig {
@@ -419,7 +385,7 @@ impl ReplicaSet {
                 addr,
                 faults: faults[id].clone(),
                 node: nodes[id].clone(),
-                counter_server,
+                counter_server: Some(counter_server),
                 counter_addr,
                 cluster,
             });
@@ -427,15 +393,8 @@ impl ReplicaSet {
 
         // Vote endpoints are all bound now — aim every wire transport at
         // its peer.
-        for (i, outgoing) in wires.into_iter().enumerate() {
-            let _ = i;
-            for (j, wire) in outgoing {
-                wire.set_target(
-                    replicas[j]
-                        .counter_addr
-                        .expect("wire mode binds a vote endpoint per replica"),
-                );
-            }
+        for (j, wire) in wires {
+            wire.set_target(replicas[j].counter_addr);
         }
 
         Ok(ReplicaSet {
@@ -472,11 +431,12 @@ impl ReplicaSet {
             .collect()
     }
 
-    /// Replica `id`'s vote-endpoint address (wire mode; `None` in
-    /// in-process mode). Chaos tests scope partition/delay faults to
-    /// these addresses.
+    /// Replica `id`'s vote-endpoint address. Always `Some`: every
+    /// replica binds a vote endpoint (the `Option` is kept for existing
+    /// callers). Chaos tests scope partition/delay faults to these
+    /// addresses.
     pub fn counter_addr(&self, id: usize) -> Option<SocketAddr> {
-        self.replicas[id].counter_addr
+        Some(self.replicas[id].counter_addr)
     }
 
     /// The address form of the shared `pk_TS`.
@@ -524,8 +484,8 @@ impl ReplicaSet {
     }
 
     /// The quorum counter's set-level diagnostics view (committed index
-    /// count, quorum state). In wire mode this reads node state directly
-    /// — the authoritative view an operator's metrics would aggregate.
+    /// count, quorum state). It reads node state directly — the
+    /// authoritative view an operator's metrics would aggregate.
     pub fn counter(&self) -> &CounterCluster {
         &self.counter
     }
@@ -565,7 +525,7 @@ impl ReplicaSet {
     /// node's in-memory frontier is **discarded** and replayed from its
     /// WAL (torn tail truncated), then caught up past any indexes it
     /// missed via `counter_catchup` through this replica's own transports
-    /// — over the wire in wire mode. Only then do the listeners come
+    /// — over the wire. Only then do the listeners come
     /// back. The listener ports were freed by [`ReplicaSet::kill`];
     /// rebinding retries briefly in case the OS is slow to release them.
     pub fn recover(&mut self, id: usize) -> std::io::Result<()> {
@@ -577,12 +537,12 @@ impl ReplicaSet {
         let frontier = replica.cluster.committed();
         replica.node.adopt(frontier)?;
 
-        if let (None, Some(addr)) = (&replica.counter_server, replica.counter_addr) {
+        if replica.counter_server.is_none() {
             let server = start_retrying(
                 &replica.front,
                 HttpServerConfig {
                     scope: EndpointScope::Vote,
-                    bind: Some(addr),
+                    bind: Some(replica.counter_addr),
                     ..vote_server_config()
                 },
             )?;
@@ -832,7 +792,9 @@ mod tests {
     #[test]
     fn vote_endpoints_answer_the_counter_op_family() {
         let set = small_set(3);
-        let vote_addr = set.counter_addr(1).expect("wire mode has vote endpoints");
+        let vote_addr = set
+            .counter_addr(1)
+            .expect("every replica has a vote endpoint");
         let client = HttpClient::connect(vote_addr);
         // Phase-1 read.
         let body = client
@@ -885,26 +847,6 @@ mod tests {
         assert_eq!(set.counter().committed(), 0);
         let token = client.issue(&request(1).one_time()).unwrap();
         assert_eq!(token.index, 0);
-        set.shutdown();
-    }
-
-    #[test]
-    fn in_process_mode_still_serves_one_time_issuance() {
-        let set = ReplicaSet::start(
-            Keypair::from_seed(901),
-            RuleBook::permissive(),
-            ReplicaSetConfig {
-                counter_mode: CounterMode::InProcess,
-                ..ReplicaSetConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(set.counter_addr(0), None, "no vote endpoints in-process");
-        let client = HttpClient::connect(set.addrs()[2]);
-        let a = client.issue(&request(1).one_time()).unwrap();
-        let b = client.issue(&request(2).one_time()).unwrap();
-        assert_ne!(a.index, b.index);
-        assert_eq!(set.counter().committed(), 2);
         set.shutdown();
     }
 

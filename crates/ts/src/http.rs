@@ -20,11 +20,10 @@
 //!   holds. A full high lane keeps the ready connection in the reactor's
 //!   retry backlog (the bytes wait in the socket; nothing is dropped).
 //! - **pool workers** serve a connection's requests back-to-back while
-//!   data keeps arriving (a short [`HttpServerConfig::keepalive_grace`]
-//!   covers the client's turnaround), then *park* the idle connection in
-//!   the reactor and move on — a worker is only ever occupied by a
-//!   connection that is actually talking. The **lifecycle of a parked
-//!   connection** is: park (epoll-register, one-shot) → readable event →
+//!   data keeps arriving (a short `KEEPALIVE_GRACE` covers the client's
+//!   turnaround), then *park* the idle connection in the reactor and
+//!   move on — a worker is only ever occupied by a connection that is
+//!   actually talking. The **lifecycle of a parked connection** is: park (epoll-register, one-shot) → readable event →
 //!   high-lane job → served back-to-back → re-park; or reaped on peer
 //!   close / [`HttpServerConfig::idle_timeout`] expiry, both detected by
 //!   the same readiness event, never by polling.
@@ -86,6 +85,27 @@ const MAX_BODY_BYTES: usize = 8 << 20;
 /// parking it anyway — keeps one firehose client from starving the queue.
 const TURN_QUOTA: usize = 128;
 
+/// How long a worker waits for the next pipelined request before parking
+/// a connection. Loopback turnarounds are microseconds, so a short grace
+/// keeps hot connections on their worker.
+const KEEPALIVE_GRACE: Duration = Duration::from_millis(1);
+
+/// Kernel listen backlog. A connection storm queues here (absorbed at
+/// kernel cost, drained at low priority) instead of seeing resets.
+const ACCEPT_BACKLOG: libc::c_int = 1_024;
+
+/// Bound on a server-owned pool's **low-priority lane** (accept-drain
+/// jobs).
+const ACCEPT_QUEUE_CAPACITY: usize = 64;
+
+/// Longest request or header line the server reads, terminator included.
+/// A longer line is refused (HTTP 400) instead of growing a buffer
+/// without limit.
+const MAX_HEADER_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 64;
+
 /// Socket timeout for reading a request once its first byte arrived and
 /// for writing responses; a peer that stalls longer loses the connection
 /// (bounds how long a worker can be pinned by one slow client).
@@ -104,6 +124,11 @@ const METHOD_NOT_ALLOWED_BODY: &str =
 /// The body answered for a `POST` without a parseable `Content-Length`
 /// (HTTP 400).
 const UNFRAMEABLE_BODY: &str = r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"missing or invalid Content-Length"}}"#;
+
+/// The body answered for a request line or header line over
+/// [`MAX_HEADER_LINE_BYTES`], more than [`MAX_HEADERS`] header lines, or a
+/// head that is not UTF-8 (HTTP 400).
+const BAD_HEAD_BODY: &str = r#"{"v":2,"ok":false,"error":{"code":"bad_envelope","message":"request head too large or malformed"}}"#;
 
 /// The body answered for a body over [`MAX_BODY_BYTES`] (HTTP 413).
 const TOO_LARGE_BODY: &str =
@@ -129,10 +154,6 @@ pub struct HttpServerConfig {
     /// retry backlog — their bytes sit in the socket; nothing is lost.
     /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
     pub queue_capacity: usize,
-    /// How long a worker waits for the next pipelined request before
-    /// parking a connection. Loopback turnarounds are microseconds, so a
-    /// short grace keeps hot connections on their worker.
-    pub keepalive_grace: Duration,
     /// Parked connections idle longer than this are closed (`None`: kept
     /// forever). Enforced by the reactor on a coarse timer (a quarter of
     /// the limit), not per-connection polling.
@@ -158,12 +179,6 @@ pub struct HttpServerConfig {
     /// Beyond it, new accepts are answered with a fast 503 and closed —
     /// bounding fds and memory instead of growing without limit.
     pub max_connections: usize,
-    /// Kernel listen backlog. A connection storm queues here (absorbed at
-    /// kernel cost, drained at low priority) instead of seeing resets.
-    pub accept_backlog: usize,
-    /// Bound on the pool's **low-priority lane** (accept-drain jobs).
-    /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
-    pub accept_queue_capacity: usize,
 }
 
 impl Default for HttpServerConfig {
@@ -174,15 +189,12 @@ impl Default for HttpServerConfig {
         HttpServerConfig {
             workers: (2 * cores).max(2),
             queue_capacity: 1024,
-            keepalive_grace: Duration::from_millis(1),
             idle_timeout: None,
             pool: None,
             bind: None,
             faults: None,
             scope: EndpointScope::Public,
             max_connections: 65_536,
-            accept_backlog: 1_024,
-            accept_queue_capacity: 64,
         }
     }
 }
@@ -245,7 +257,6 @@ struct ServerShared {
     pool: Arc<WorkerPool>,
     reactor: Arc<Reactor<Conn>>,
     shutdown: AtomicBool,
-    keepalive_grace: Duration,
     faults: Option<Arc<FaultPlan>>,
     scope: EndpointScope,
     max_connections: usize,
@@ -330,18 +341,11 @@ impl HttpServer {
         // seeing resets. Re-calling listen(2) on a listening socket only
         // updates the backlog.
         unsafe {
-            libc::listen(
-                listener.as_raw_fd(),
-                config.accept_backlog.min(i32::MAX as usize) as libc::c_int,
-            );
+            libc::listen(listener.as_raw_fd(), ACCEPT_BACKLOG);
         }
         let owns_pool = config.pool.is_none();
         let pool = config.pool.unwrap_or_else(|| {
-            WorkerPool::with_lanes(
-                config.workers,
-                config.queue_capacity,
-                config.accept_queue_capacity,
-            )
+            WorkerPool::with_lanes(config.workers, config.queue_capacity, ACCEPT_QUEUE_CAPACITY)
         });
         let reactor = Arc::new(Reactor::new(listener, config.idle_timeout)?);
         let shared = Arc::new_cyclic(|me| ServerShared {
@@ -349,7 +353,6 @@ impl HttpServer {
             pool,
             reactor,
             shutdown: AtomicBool::new(false),
-            keepalive_grace: config.keepalive_grace,
             faults: config.faults,
             scope: config.scope,
             max_connections: config.max_connections.max(1),
@@ -508,7 +511,7 @@ fn serve_turn(shared: &Arc<ServerShared>, mut conn: Conn) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return; // drop: shutdown closes keep-alive connections
         }
-        match await_data(&mut conn, shared.keepalive_grace) {
+        match await_data(&mut conn, KEEPALIVE_GRACE) {
             Readiness::Ready => {}
             Readiness::Idle => {
                 park(shared, conn);
@@ -552,16 +555,35 @@ struct Headers {
     close: bool,
 }
 
+/// Read one head line (request, status or header line) into `line`,
+/// returning its length in bytes (0 at end of stream). A line longer than
+/// [`MAX_HEADER_LINE_BYTES`] is an `InvalidData` error, as is one that is
+/// not UTF-8, so no peer can grow the buffer without limit.
+fn read_head_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> std::io::Result<usize> {
+    let n = reader
+        .by_ref()
+        .take(MAX_HEADER_LINE_BYTES as u64)
+        .read_line(line)?;
+    if n == MAX_HEADER_LINE_BYTES && !line.ends_with('\n') {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidData,
+            "head line too long",
+        ));
+    }
+    Ok(n)
+}
+
 /// Read header lines up to the blank separator. One parser for the server
-/// and the client so the two ends can never disagree on framing.
+/// and the client so the two ends can never disagree on framing. More
+/// than [`MAX_HEADERS`] lines is an `InvalidData` error.
 fn read_headers(reader: &mut BufReader<TcpStream>) -> std::io::Result<Headers> {
     let mut headers = Headers {
         content_length: None,
         close: false,
     };
-    loop {
+    for _ in 0..=MAX_HEADERS {
         let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        if read_head_line(reader, &mut line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed mid-headers",
@@ -578,6 +600,34 @@ fn read_headers(reader: &mut BufReader<TcpStream>) -> std::io::Result<Headers> {
             headers.close = value.trim() == "close";
         }
     }
+    Err(std::io::Error::new(
+        ErrorKind::InvalidData,
+        "too many headers",
+    ))
+}
+
+/// Read a request line and its headers. `Ok(None)`: the client closed the
+/// connection before sending anything.
+fn read_request_head(
+    reader: &mut BufReader<TcpStream>,
+) -> std::io::Result<Option<(String, Headers)>> {
+    let mut request_line = String::new();
+    if read_head_line(reader, &mut request_line)? == 0 {
+        return Ok(None);
+    }
+    Ok(Some((request_line, read_headers(reader)?)))
+}
+
+/// Answer a request the server will not serve, then close: first discard
+/// what the client already sent, so the close sends FIN rather than a
+/// RST that could destroy the answer before the client reads it.
+fn refuse(conn: &mut Conn, code: u16, body: &str) -> std::io::Result<bool> {
+    write_response(conn.stream(), code, true, body)?;
+    if conn.stream().set_nonblocking(true).is_ok() {
+        let mut pending = conn.stream().take(MAX_BODY_BYTES as u64);
+        let _ = std::io::copy(&mut pending, &mut std::io::sink());
+    }
+    Ok(true)
 }
 
 /// Serve exactly one `POST` request off `conn`. `Ok(close)` reports
@@ -589,34 +639,27 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
     // a bounded window so a stalling client can't pin this worker.
     conn.stream().set_read_timeout(Some(REQUEST_IO_TIMEOUT))?;
 
-    // Request line; 0 bytes = client closed the connection.
-    let mut request_line = String::new();
-    if conn.reader.read_line(&mut request_line)? == 0 {
-        return Ok(true);
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let _path = parts.next().unwrap_or("/");
-
-    let headers = read_headers(&mut conn.reader)?;
+    let (request_line, headers) = match read_request_head(&mut conn.reader) {
+        Ok(Some(head)) => head,
+        Ok(None) => return Ok(true), // client closed the connection
+        Err(e) if e.kind() == ErrorKind::InvalidData => return refuse(conn, 400, BAD_HEAD_BODY),
+        Err(e) => return Err(e),
+    };
     let client_close = headers.close;
 
-    if method != "POST" {
-        write_response(conn.stream(), 405, true, METHOD_NOT_ALLOWED_BODY)?;
-        return Ok(true);
+    if request_line.split_whitespace().next() != Some("POST") {
+        return refuse(conn, 405, METHOD_NOT_ALLOWED_BODY);
     }
     // A POST without a parseable Content-Length cannot be framed: refuse
     // and close rather than guess (guessing would leave body bytes in the
     // stream and desynchronize later keep-alive requests).
     let Some(content_length) = headers.content_length else {
-        write_response(conn.stream(), 400, true, UNFRAMEABLE_BODY)?;
-        return Ok(true);
+        return refuse(conn, 400, UNFRAMEABLE_BODY);
     };
     // Oversized bodies are refused with the connection closed, for the
     // same framing reason.
     if content_length > MAX_BODY_BYTES {
-        write_response(conn.stream(), 413, true, TOO_LARGE_BODY)?;
-        return Ok(true);
+        return refuse(conn, 413, TOO_LARGE_BODY);
     }
     let mut body = vec![0u8; content_length];
     conn.reader.read_exact(&mut body)?;
@@ -693,7 +736,7 @@ fn write_truncated_response(stream: &mut TcpStream, body: &str) -> std::io::Resu
 /// `reader`, returning the status code and body.
 fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, String)> {
     let mut status = String::new();
-    if reader.read_line(&mut status)? == 0 {
+    if read_head_line(reader, &mut status)? == 0 {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed before response",

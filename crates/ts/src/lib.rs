@@ -24,9 +24,12 @@
 //!   [`validation::ValidationTool`] trait, running against a forked local
 //!   testnet as §V describes).
 //!
-//! For availability (§VII-B), one-time indexes can come from a
-//! [`replica::CounterCluster`] — a majority-quorum replicated counter —
-//! instead of the single-node atomic counter. [`discovery`] implements the
+//! For availability (§VII-B), one-time indexes come from a
+//! [`replica::CounterCluster`] — a majority-quorum replicated counter.
+//! A standalone [`TokenService`] is a one-replica, one-shard service: a
+//! one-node counter and a one-shard [`service::ShardedRules`], the same
+//! two paths a [`cluster::ReplicaSet`] shares across its replicas.
+//! [`discovery`] implements the
 //! §VII-B service-discovery metadata (contract address → TS URL), and
 //! [`store`] persists rules and the signing key to disk (the prototype's
 //! node-localStorage analog).
@@ -47,9 +50,10 @@
 //!
 //! issue_batch ──▶ scope_map fan-out: calling thread + idle workers sign
 //!                 in parallel, results in request order
-//! rules ────────▶ EpochCell<RuleBook>: issuers pin an immutable Arc
-//!                 snapshot per request (lock-free steady state);
-//!                 set_rules swaps the book atomically
+//! rules ────────▶ ShardedRules (an EpochCell<RuleBook> per shard):
+//!                 issuers pin an immutable Arc snapshot per request
+//!                 (lock-free steady state); set_rules swaps each
+//!                 shard's book atomically
 //! ```
 //!
 //! - **Connections** cost `O(workers)` threads, not `O(connections)`: a
@@ -59,8 +63,7 @@
 //!   `epoll_wait` until one becomes readable, closes, or idles out. One
 //!   struct literal configures a server: [`http::HttpServerConfig`] with
 //!   `..Default::default()` (`workers`, `queue_capacity`,
-//!   `accept_queue_capacity`, `max_connections`, `accept_backlog`,
-//!   `keepalive_grace`, `idle_timeout`, an optional shared `pool`, …).
+//!   `max_connections`, `idle_timeout`, an optional shared `pool`, …).
 //! - **Every listener binds one way**: the public listener and every
 //!   vote endpoint are [`http::HttpServer::start_with`] calls whose
 //!   config names the [`EndpointScope`](front::EndpointScope), so they
@@ -89,10 +92,10 @@
 //!   binds all of them), and a majority-quorum one-time counter
 //!   ([`replica::CounterCluster`]).
 //!
-//! - **How the counter quorum votes.** By default the counter is a real
-//!   distributed protocol ([`cluster::CounterMode::Wire`]): each replica
-//!   serves the protocol-v2 `counter_*` op family on a dedicated vote
-//!   endpoint — and *only* there: the client-facing listener runs with
+//! - **How the counter quorum votes.** The counter is a real
+//!   distributed protocol: each replica serves the protocol-v2
+//!   `counter_*` op family on a dedicated vote endpoint — and *only*
+//!   there: the client-facing listener runs with
 //!   [`front::EndpointScope::Public`] and refuses vote ops with
 //!   `counter_unavailable`, so a hostile client cannot burn or skip
 //!   index ranges. Allocating one index is two wire rounds driven by the
@@ -179,7 +182,7 @@ pub mod validation;
 pub mod wal;
 
 pub use api::{ApiError, ErrorCode, InProcessClient, TsApi, MAX_BATCH, PROTOCOL_VERSION};
-pub use cluster::{CounterMode, ReplicaSet, ReplicaSetConfig};
+pub use cluster::{ReplicaSet, ReplicaSetConfig};
 pub use discovery::ServiceDirectory;
 pub use failover::{BreakerConfig, FailoverClient, RetryPolicy};
 pub use fault::FaultPlan;

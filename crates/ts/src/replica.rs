@@ -266,8 +266,9 @@ impl CounterTransport for LocalTransport {
 /// Each replica process holds its own `CounterCluster` whose member
 /// transports point at the full membership (itself via
 /// [`LocalTransport`], peers over the wire). The single-process form
-/// ([`CounterCluster::new`]) keeps every node in-process and is what the
-/// unit tests and non-replicated benches use.
+/// ([`CounterCluster::new`]) keeps every node in-process: a standalone
+/// [`crate::TokenService`] allocates through a one-node one, and the
+/// unit tests use larger ones.
 #[derive(Clone)]
 pub struct CounterCluster {
     /// Full membership, coordinator's view; index = replica id.

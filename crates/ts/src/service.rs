@@ -5,6 +5,13 @@
 //! When receiving the token request, the TS parses and checks it against
 //! the rules. Once verified, a token is issued according to the request"
 //! — by signing `type ‖ expire ‖ index ‖ reqPayload` with `sk_TS`.
+//!
+//! A standalone [`TokenService`] is the n = 1 case of the replicated one
+//! (§VII-B): a one-replica, one-shard service. Its rules sit in a
+//! one-shard [`ShardedRules`] and its one-time indexes come from a
+//! one-node [`CounterCluster`], so rule reads and index allocation take
+//! the same path standalone and inside a [`crate::cluster::ReplicaSet`],
+//! which only swaps in the shared shards and the quorum counter.
 
 use parking_lot::RwLock;
 use smacs_chain::Chain;
@@ -12,7 +19,6 @@ use smacs_crypto::Keypair;
 use smacs_primitives::{Address, EpochCell, WorkerPool};
 use smacs_token::{signing_digest, PayloadContext, Token, TokenRequest, TokenType, NO_INDEX};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::replica::CounterCluster;
@@ -52,16 +58,9 @@ impl fmt::Display for IssueError {
 
 impl std::error::Error for IssueError {}
 
-/// Where one-time indexes come from.
-enum IndexSource {
-    /// Single-node atomic counter.
-    Local(AtomicU64),
-    /// Majority-quorum replicated counter (§VII-B).
-    Replicated(CounterCluster),
-}
-
-/// Rule books sharded by contract address, shared across the replicas of
-/// a [`crate::cluster::ReplicaSet`].
+/// Rule books sharded by contract address. A standalone service holds a
+/// one-shard set of its own; the replicas of a
+/// [`crate::cluster::ReplicaSet`] share one multi-shard set.
 ///
 /// Each shard is its own [`EpochCell`], so a rule update for one
 /// contract's shard never invalidates the epoch snapshots issuers hold
@@ -98,11 +97,6 @@ impl ShardedRules {
         mix % self.shards.len()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Pin the current rule snapshot for `contract`'s shard.
     pub fn load(&self, contract: Address) -> Arc<RuleBook> {
         self.shards[self.shard_index(contract)].load()
@@ -122,42 +116,18 @@ impl ShardedRules {
             shard.update(&edit);
         }
     }
-
-    /// Read-copy-update only the shard governing `contract` — the cheap
-    /// path when an edit targets one contract's rules.
-    pub fn update_contract<F: FnOnce(&mut RuleBook)>(&self, contract: Address, edit: F) {
-        self.shards[self.shard_index(contract)].update(edit);
-    }
 }
 
-/// Where rule books live: owned by this service, or shared (sharded)
-/// across a replica set.
-enum RuleSource {
-    /// This service's private book.
-    Owned(EpochCell<RuleBook>),
-    /// Shared shards — every replica holding the same `Arc` sees every
-    /// update.
-    Shared(Arc<ShardedRules>),
-}
-
-impl RuleSource {
-    fn load(&self, contract: Address) -> Arc<RuleBook> {
-        match self {
-            RuleSource::Owned(cell) => cell.load(),
-            RuleSource::Shared(shards) => shards.load(contract),
-        }
-    }
-}
+/// Batches at least this large fan signature creation across the worker
+/// pool; smaller ones stay sequential (the fan-out bookkeeping would cost
+/// more than the ~90 µs signatures it parallelizes).
+const PARALLEL_BATCH_MIN: usize = 8;
 
 /// TS configuration.
 #[derive(Clone, Debug)]
 pub struct TokenServiceConfig {
     /// Lifetime granted to issued tokens, in seconds.
     pub token_lifetime_secs: u64,
-    /// Batches at least this large fan signature creation across the
-    /// worker pool; smaller ones stay sequential (the fan-out bookkeeping
-    /// would cost more than the ~90 µs signatures it parallelizes).
-    pub parallel_batch_min: usize,
 }
 
 impl Default for TokenServiceConfig {
@@ -165,7 +135,6 @@ impl Default for TokenServiceConfig {
         // The paper's Table IV analysis assumes 1-hour one-time tokens.
         TokenServiceConfig {
             token_lifetime_secs: 3_600,
-            parallel_batch_min: 8,
         }
     }
 }
@@ -173,30 +142,34 @@ impl Default for TokenServiceConfig {
 /// A Token Service instance for one (or more) SMACS-enabled contracts.
 pub struct TokenService {
     sk_ts: Keypair,
-    /// Rules live behind an epoch snapshot: issuance pins an immutable
+    /// Rules live behind epoch snapshots: issuance pins an immutable
     /// `Arc<RuleBook>` per request (lock-free in steady state) and
-    /// `set_rules` swaps the whole book atomically — concurrent issuers
-    /// never contend with each other or with rule reads. In a replica
-    /// set the source is a shared [`ShardedRules`] instead.
-    rules: RuleSource,
+    /// `set_rules` swaps each shard's book atomically — concurrent
+    /// issuers never contend with each other or with rule reads. One
+    /// shard of its own when standalone; shared by a replica set.
+    rules: Arc<ShardedRules>,
     tools: Vec<Arc<dyn ValidationTool>>,
     testnet: Option<RwLock<Chain>>,
-    index_source: IndexSource,
+    /// Where one-time indexes come from: a one-node cluster of its own
+    /// when standalone, the majority-quorum counter in a replica set
+    /// (§VII-B).
+    counter: CounterCluster,
     /// Pool for batch signing fan-out (shared process-wide by default).
     pool: Arc<WorkerPool>,
     config: TokenServiceConfig,
 }
 
 impl TokenService {
-    /// A TS with the given signing key and initial rules; no validation
-    /// tools, local counter, process-shared worker pool.
+    /// A standalone TS with the given signing key and initial rules: a
+    /// one-replica service (one rule shard, a one-node counter), no
+    /// validation tools, process-shared worker pool.
     pub fn new(sk_ts: Keypair, rules: RuleBook, config: TokenServiceConfig) -> Self {
         TokenService {
             sk_ts,
-            rules: RuleSource::Owned(EpochCell::new(rules)),
+            rules: ShardedRules::new(1, rules),
             tools: Vec::new(),
             testnet: None,
-            index_source: IndexSource::Local(AtomicU64::new(0)),
+            counter: CounterCluster::new(1),
             pool: WorkerPool::shared().clone(),
             config,
         }
@@ -216,28 +189,19 @@ impl TokenService {
         self
     }
 
-    /// Use a replicated counter for one-time indexes (§VII-B).
+    /// Allocate one-time indexes through `cluster`, e.g. a replica's
+    /// view of the quorum counter (§VII-B).
     pub fn with_replicated_counter(mut self, cluster: CounterCluster) -> Self {
-        self.index_source = IndexSource::Replicated(cluster);
+        self.counter = cluster;
         self
     }
 
-    /// Check rules against shards shared with sibling replicas instead of
-    /// a service-private book — what [`crate::cluster::ReplicaSet`] wires
-    /// so one owner update reaches every replica.
+    /// Check rules against shards shared with sibling replicas — what
+    /// [`crate::cluster::ReplicaSet`] wires so one owner update reaches
+    /// every replica.
     pub fn with_shared_rules(mut self, shards: Arc<ShardedRules>) -> Self {
-        self.rules = RuleSource::Shared(shards);
+        self.rules = shards;
         self
-    }
-
-    /// Whether one-time issuance is currently possible: always for a
-    /// local counter, quorum-dependent for a replicated one. The
-    /// degradation signal operators alert on.
-    pub fn one_time_available(&self) -> bool {
-        match &self.index_source {
-            IndexSource::Local(_) => true,
-            IndexSource::Replicated(cluster) => cluster.has_quorum(),
-        }
     }
 
     /// Fan batch signing across `pool` instead of the process-shared
@@ -260,38 +224,23 @@ impl TokenService {
 
     /// Owner-side dynamic rule update ("these rules can be updated
     /// dynamically by the owner", §III-C). Replaces the whole book with
-    /// one atomic snapshot swap; in-flight requests finish against the
-    /// generation they pinned. With shared shards, the replacement
-    /// reaches every replica holding the same shards.
+    /// one atomic snapshot swap per shard; in-flight requests finish
+    /// against the generation they pinned. With shared shards, the
+    /// replacement reaches every replica holding the same shards.
     pub fn set_rules(&self, rules: RuleBook) {
-        match &self.rules {
-            RuleSource::Owned(cell) => cell.store(rules),
-            RuleSource::Shared(shards) => shards.store_all(rules),
-        }
+        self.rules.store_all(rules);
     }
 
-    /// Owner-side targeted rule edit (read-copy-update; concurrent edits
-    /// are serialized, never lost). With shared shards the edit is
-    /// applied to every shard — use [`ShardedRules::update_contract`]
-    /// directly for a single-contract edit.
+    /// Owner-side targeted rule edit, applied to every shard
+    /// (read-copy-update; concurrent edits are serialized, never lost).
     pub fn update_rules<F: Fn(&mut RuleBook)>(&self, edit: F) {
-        match &self.rules {
-            RuleSource::Owned(cell) => cell.update(edit),
-            RuleSource::Shared(shards) => shards.update_all(edit),
-        }
+        self.rules.update_all(edit);
     }
 
     /// Snapshot of the rules governing `contract` (owner diagnostics;
     /// rules stay private to the TS — clients never see them).
     pub fn rules_snapshot_for(&self, contract: Address) -> RuleBook {
         (*self.rules.load(contract)).clone()
-    }
-
-    /// Snapshot of the current rules (owner diagnostics). With shared
-    /// shards this reads the shard governing the zero address; prefer
-    /// [`TokenService::rules_snapshot_for`] in sharded deployments.
-    pub fn rules_snapshot(&self) -> RuleBook {
-        self.rules_snapshot_for(Address::default())
     }
 
     /// Handle one token request at TS-local time `now`.
@@ -372,7 +321,7 @@ impl TokenService {
         requests: &[TokenRequest],
         now: u64,
     ) -> Vec<Result<Token, IssueError>> {
-        if requests.len() >= self.config.parallel_batch_min.max(2) && self.pool.threads() > 1 {
+        if requests.len() >= PARALLEL_BATCH_MIN && self.pool.threads() > 1 {
             self.pool
                 .scope_map(requests.len(), |i| self.issue(&requests[i], now))
         } else {
@@ -381,12 +330,9 @@ impl TokenService {
     }
 
     fn next_index(&self) -> Result<u64, IssueError> {
-        match &self.index_source {
-            IndexSource::Local(counter) => Ok(counter.fetch_add(1, Ordering::SeqCst)),
-            IndexSource::Replicated(cluster) => {
-                cluster.next_index().ok_or(IssueError::CounterUnavailable)
-            }
-        }
+        self.counter
+            .next_index()
+            .ok_or(IssueError::CounterUnavailable)
     }
 
     /// Refresh the attached testnet to a newer fork of the live chain (the
@@ -624,9 +570,10 @@ mod tests {
     #[test]
     fn rules_snapshot_is_a_copy() {
         let ts = service();
-        let snap = ts.rules_snapshot();
+        let snap = ts.rules_snapshot_for(contract());
         ts.set_rules(RuleBook::deny_all());
         // The earlier snapshot is unaffected.
-        assert_ne!(snap, ts.rules_snapshot());
+        assert_eq!(snap, RuleBook::permissive());
+        assert_eq!(ts.rules_snapshot_for(contract()), RuleBook::deny_all());
     }
 }

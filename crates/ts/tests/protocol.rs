@@ -151,6 +151,35 @@ fn non_envelope_bodies_are_refused_over_http_and_mint_nothing() {
     server.shutdown();
 }
 
+#[test]
+fn endless_header_line_is_refused_with_bad_envelope() {
+    // 16 KiB with no newline is past the 8 KiB head-line cap, and 65
+    // headers are past the 64-header cap: the server must answer 400
+    // `bad_envelope` and hang up instead of buffering without limit.
+    let server = HttpServer::start(front()).unwrap();
+    let long_line = format!("POST / HTTP/1.1\r\nX-Pad: {}", "a".repeat(16 << 10));
+    let many_headers = format!("POST / HTTP/1.1\r\n{}", "X-Pad: a\r\n".repeat(65));
+    for head in [long_line, many_headers] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        let mut response = String::new();
+        BufReader::new(stream)
+            .read_to_string(&mut response)
+            .unwrap();
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(response.to_ascii_lowercase().contains("connection: close"));
+        let (_, body) = response.split_once("\r\n\r\n").unwrap();
+        let envelope = ResponseEnvelope::from_json(&parse(body)).unwrap();
+        assert!(!envelope.ok);
+        assert_eq!(envelope.error.unwrap().code, "bad_envelope");
+    }
+    // The server still serves the next client.
+    HttpClient::connect(server.addr())
+        .issue(&request(1))
+        .unwrap();
+    server.shutdown();
+}
+
 // ---- batch partial failure ----
 
 #[test]
