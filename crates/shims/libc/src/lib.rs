@@ -1,7 +1,8 @@
 //! In-repo shim for the `libc` crate: the build environment has no
 //! registry access, and SMACS only needs a sliver of the real crate —
 //! the readiness syscalls behind the HTTP reactor (`epoll_create1` /
-//! `epoll_ctl` / `epoll_wait`, `eventfd` for wakeups) plus the odd
+//! `epoll_ctl` / `epoll_wait`, `eventfd` for wakeups, `recv` for
+//! non-blocking socket reads) plus the odd
 //! resource probe (`getrlimit`/`setrlimit`, `sysconf`). Declarations
 //! are plain `extern "C"` against the system libc that `std` already
 //! links, so no build script or registry dependency is required.
@@ -33,6 +34,10 @@ pub const EPOLL_CTL_ADD: c_int = 1;
 pub const EPOLL_CTL_DEL: c_int = 2;
 pub const EPOLL_CTL_MOD: c_int = 3;
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
+
+/// `recv` flags (values from the Linux ABI).
+pub const MSG_PEEK: c_int = 0x02;
+pub const MSG_DONTWAIT: c_int = 0x40;
 
 pub const EFD_CLOEXEC: c_int = 0o2000000;
 pub const EFD_NONBLOCK: c_int = 0o4000;
@@ -72,6 +77,7 @@ extern "C" {
     pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
     pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
     pub fn close(fd: c_int) -> c_int;
+    pub fn recv(sockfd: c_int, buf: *mut c_void, len: size_t, flags: c_int) -> ssize_t;
     pub fn listen(sockfd: c_int, backlog: c_int) -> c_int;
     pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
     pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
@@ -101,6 +107,9 @@ mod stubs {
         -1
     }
     pub unsafe fn close(_fd: c_int) -> c_int {
+        -1
+    }
+    pub unsafe fn recv(_fd: c_int, _buf: *mut c_void, _len: size_t, _flags: c_int) -> ssize_t {
         -1
     }
     pub unsafe fn listen(_sockfd: c_int, _backlog: c_int) -> c_int {

@@ -6,27 +6,33 @@
 //!
 //! The server is **readiness-driven**: one reactor thread
 //! ([`crate::reactor`], epoll via the in-repo `libc` shim) multiplexes
-//! the accept listener and *every* parked keep-alive socket, and a
-//! **fixed worker pool** ([`smacs_primitives::pool`]) does all the actual
+//! the accept listener and *every* connection between turns, and a
+//! **fixed worker pool** ([`smacs_primitives::pool`]) does all the
 //! serving — so concurrent keep-alive clients cost `O(workers)` threads
 //! and an *idle* connection costs zero CPU (one registered fd, no sweep):
 //!
 //! - the **reactor** (one thread) blocks in `epoll_wait` until a parked
-//!   connection has bytes (or closed) or the listener has a pending
-//!   accept burst. Readable connections are dispatched to the pool's
-//!   **high-priority lane**; the accept burst becomes one **low-priority
-//!   lane** drain job — under a connection storm, signing and request
-//!   serving always cut ahead of new accepts, so `issue_batch` latency
-//!   holds. A full high lane keeps the ready connection in the reactor's
-//!   retry backlog (the bytes wait in the socket; nothing is dropped).
-//! - **pool workers** serve a connection's requests back-to-back while
-//!   data keeps arriving (a short `KEEPALIVE_GRACE` covers the client's
-//!   turnaround), then *park* the idle connection in the reactor and
-//!   move on — a worker is only ever occupied by a connection that is
-//!   actually talking. The **lifecycle of a parked connection** is: park (epoll-register, one-shot) → readable event →
-//!   high-lane job → served back-to-back → re-park; or reaped on peer
-//!   close / [`HttpServerConfig::idle_timeout`] expiry, both detected by
-//!   the same readiness event, never by polling.
+//!   connection has bytes (or closed), the listener has a pending accept
+//!   burst, or a parked connection's deadline passes. Readable
+//!   connections are dispatched to the pool's **high-priority lane**; the
+//!   accept burst becomes one **low-priority lane** drain job — under a
+//!   connection storm, signing and request serving always cut ahead of
+//!   new accepts, so `issue_batch` latency holds. A full high lane keeps
+//!   the ready connection in the reactor's retry backlog (the bytes wait
+//!   in the socket; nothing is dropped).
+//! - a **worker turn** never blocks on a socket read: one non-blocking
+//!   read of what the socket holds into the connection's buffer, every
+//!   complete request framed ([`parse_head`]) and served in order, then
+//!   the connection is parked again with any partial request buffered.
+//!   Level-triggered one-shot re-arming makes that fair: a pipelining
+//!   client whose socket still holds bytes fires again, behind the others.
+//!   Workers block only on response writes (10 s write timeout) and on
+//!   the service's own work (signing, vote round trips).
+//! - every **parked connection** carries its own deadline: with an empty
+//!   buffer, [`HttpServerConfig::idle_timeout`] from now (or none); with a
+//!   partial request, [`REQUEST_DEADLINE`] from its first byte. The
+//!   reactor closes it then, so a trickling client holds neither a worker
+//!   nor, past the deadline, its connection.
 //! - the **accept-drain job** (low lane) accepts until the backlog is
 //!   empty, parking each new connection so its first request arrives as
 //!   a readiness event; beyond [`HttpServerConfig::max_connections`] it
@@ -45,22 +51,24 @@
 //! their workers observe the flag; every thread is joined.
 //!
 //! [`HttpClient`] is the wire implementation of [`TsApi`]: protocol-v2
-//! envelopes over one persistent connection. Before reusing a pooled
-//! connection it probes for staleness (server restart, idle-timeout
-//! close) and transparently reconnects once, so non-idempotent calls
-//! never burn a round on a connection the server already abandoned; a
-//! failure *after* the request was sent is only retried for idempotent
-//! ops. Every body the server writes is a v2 response envelope — its own
-//! transport refusals (405, 400, 413, 503, injected 500s) included — so
-//! the client always decodes a machine-readable error code.
+//! envelopes over one persistent connection, its responses framed by the
+//! same [`parse_head`]. Before reusing a pooled connection it probes for
+//! staleness (server restart, idle-timeout close) and transparently
+//! reconnects once, so non-idempotent calls never burn a round on a
+//! connection the server already abandoned; a failure *after* the
+//! request was sent is only retried for idempotent ops. Every body the
+//! server writes is a v2 response envelope — its own transport refusals
+//! (405, 400, 413, 503, injected 500s) included — so the client always
+//! decodes a machine-readable error code.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
+use std::mem::MaybeUninit;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use smacs_primitives::json::{self, FromJson, Json, ToJson};
 use smacs_primitives::pool::Priority;
@@ -79,16 +87,21 @@ use crate::rules::RuleBook;
 
 /// Request bodies above this size are refused (HTTP 413). Generous: a
 /// full 256-request argument-token batch with kilobyte calldata fits.
-const MAX_BODY_BYTES: usize = 8 << 20;
+pub const MAX_BODY_BYTES: usize = 8 << 20;
 
-/// Ceiling on requests one worker serves on a single connection before
-/// parking it anyway — keeps one firehose client from starving the queue.
-const TURN_QUOTA: usize = 128;
+/// How long one request may take to arrive, counted from the read that
+/// delivered its first byte. A connection still holding a partial request
+/// at this deadline is closed, however steadily it trickles.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
-/// How long a worker waits for the next pipelined request before parking
-/// a connection. Loopback turnarounds are microseconds, so a short grace
-/// keeps hot connections on their worker.
-const KEEPALIVE_GRACE: Duration = Duration::from_millis(1);
+/// Socket timeout for writing a response: a peer that stops reading
+/// loses the connection instead of pinning a worker.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most bytes one `recv` reads: a server turn makes one such read. It is
+/// a stack buffer on every reading thread, so it stays small; a bigger
+/// request takes several turns.
+const READ_CHUNK: usize = 16 << 10;
 
 /// Kernel listen backlog. A connection storm queues here (absorbed at
 /// kernel cost, drained at low priority) instead of seeing resets.
@@ -98,18 +111,12 @@ const ACCEPT_BACKLOG: libc::c_int = 1_024;
 /// jobs).
 const ACCEPT_QUEUE_CAPACITY: usize = 64;
 
-/// Longest request or header line the server reads, terminator included.
-/// A longer line is refused (HTTP 400) instead of growing a buffer
-/// without limit.
+/// Longest request, status or header line either end accepts, terminator
+/// included. A longer line is refused instead of buffered without limit.
 const MAX_HEADER_LINE_BYTES: usize = 8 << 10;
 
-/// Most header lines one request may carry.
+/// Most header lines one message may carry.
 const MAX_HEADERS: usize = 64;
-
-/// Socket timeout for reading a request once its first byte arrived and
-/// for writing responses; a peer that stalls longer loses the connection
-/// (bounds how long a worker can be pinned by one slow client).
-const REQUEST_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// The body answered when [`HttpServerConfig::max_connections`] is
 /// reached: a protocol-v2 error envelope a [`HttpClient`] decodes into
@@ -145,18 +152,20 @@ const FAULTED_BODY: &str =
 #[derive(Clone)]
 pub struct HttpServerConfig {
     /// Connection/signing worker threads. Defaults to
-    /// `2 × available_parallelism` (min 2): connection turns block on
-    /// socket I/O, so running more workers than cores keeps the CPU busy.
-    /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
+    /// `2 × available_parallelism` (min 2): a worker never waits on a
+    /// socket read, but it does block on response writes and on vote round
+    /// trips to other replicas, so running more workers than cores keeps
+    /// the CPU busy. Ignored when [`HttpServerConfig::pool`] supplies a
+    /// pool.
     pub workers: usize,
     /// Bound on the pool's **high-priority lane** (request-serving and
     /// signing jobs). When full, ready connections wait in the reactor's
     /// retry backlog — their bytes sit in the socket; nothing is lost.
     /// Ignored when [`HttpServerConfig::pool`] supplies a pool.
     pub queue_capacity: usize,
-    /// Parked connections idle longer than this are closed (`None`: kept
-    /// forever). Enforced by the reactor on a coarse timer (a quarter of
-    /// the limit), not per-connection polling.
+    /// Parked connections with no partial request are closed once idle
+    /// this long (`None`: kept forever). Enforced by the reactor as each
+    /// connection's own deadline, not by per-connection polling.
     pub idle_timeout: Option<Duration>,
     /// Share an existing pool (e.g. the one the wrapped `TokenService`
     /// fans batch signing across) instead of creating a server-owned one.
@@ -222,32 +231,33 @@ impl Drop for ConnCount {
     }
 }
 
-/// One keep-alive connection: the buffered reader owns the stream (writes
-/// go through `reader.get_mut()`), so buffered-but-unserved pipelined
-/// bytes travel with the connection when it parks.
+/// One keep-alive connection: the socket, and the bytes read off it but
+/// not yet served — between turns, at most one partial request.
 struct Conn {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    buf: Vec<u8>,
+    /// When the read that delivered the buffered request's first byte
+    /// began; [`REQUEST_DEADLINE`] counts from here.
+    started: Instant,
     _count: ConnCount,
 }
 
 impl Conn {
     fn new(stream: TcpStream, count: ConnCount) -> std::io::Result<Conn> {
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(REQUEST_IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(Conn {
-            reader: BufReader::new(stream),
+            stream,
+            buf: Vec::new(),
+            started: Instant::now(),
             _count: count,
         })
-    }
-
-    fn stream(&mut self) -> &mut TcpStream {
-        self.reader.get_mut()
     }
 }
 
 impl AsRawFd for Conn {
     fn as_raw_fd(&self) -> RawFd {
-        self.reader.get_ref().as_raw_fd()
+        self.stream.as_raw_fd()
     }
 }
 
@@ -259,6 +269,7 @@ struct ServerShared {
     shutdown: AtomicBool,
     faults: Option<Arc<FaultPlan>>,
     scope: EndpointScope,
+    idle_timeout: Option<Duration>,
     max_connections: usize,
     open_connections: Arc<AtomicUsize>,
     /// Self-reference so reactor callbacks can hand `Arc` clones to jobs.
@@ -347,7 +358,7 @@ impl HttpServer {
         let pool = config.pool.unwrap_or_else(|| {
             WorkerPool::with_lanes(config.workers, config.queue_capacity, ACCEPT_QUEUE_CAPACITY)
         });
-        let reactor = Arc::new(Reactor::new(listener, config.idle_timeout)?);
+        let reactor = Arc::new(Reactor::new(listener)?);
         let shared = Arc::new_cyclic(|me| ServerShared {
             front,
             pool,
@@ -355,6 +366,7 @@ impl HttpServer {
             shutdown: AtomicBool::new(false),
             faults: config.faults,
             scope: config.scope,
+            idle_timeout: config.idle_timeout,
             max_connections: config.max_connections.max(1),
             open_connections: Arc::new(AtomicUsize::new(0)),
             me: me.clone(),
@@ -448,14 +460,15 @@ fn accept_drain(shared: &Arc<ServerShared>) {
                     // Fast, decodable refusal; dropping `count` (with the
                     // stream) keeps the book balanced.
                     let mut stream = stream;
-                    let _ = stream.set_write_timeout(Some(REQUEST_IO_TIMEOUT));
-                    let _ = write_response(&mut stream, 503, true, OVERLOADED_BODY);
+                    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+                    let _ = stream.write_all(&http_response(503, true, OVERLOADED_BODY));
                     continue;
                 }
                 let Ok(conn) = Conn::new(stream, count) else {
                     continue;
                 };
-                let _ = shared.reactor.park(conn); // failure drops (closes)
+                let idle = shared.idle_timeout.map(|idle| Instant::now() + idle);
+                let _ = shared.reactor.park(conn, idle); // failure drops (closes)
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(_) => {
@@ -470,200 +483,99 @@ fn accept_drain(shared: &Arc<ServerShared>) {
     shared.reactor.rearm_accept();
 }
 
-/// What a readiness probe on an idle connection found.
-enum Readiness {
-    /// Bytes are waiting to be read.
-    Ready,
-    /// Still connected, nothing pending.
-    Idle,
-    /// Peer closed (or the socket errored).
-    Closed,
-}
-
-/// Blocking peek bounded by `grace`: catches the next pipelined request
-/// without a park/poll round trip when the client is actively talking.
-fn await_data(conn: &mut Conn, grace: Duration) -> Readiness {
-    if !conn.reader.buffer().is_empty() {
-        return Readiness::Ready;
-    }
-    let stream = conn.stream();
-    if stream
-        .set_read_timeout(Some(grace.max(Duration::from_micros(1))))
-        .is_err()
-    {
-        return Readiness::Closed;
-    }
-    let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
-        Ok(0) => Readiness::Closed,
-        Ok(_) => Readiness::Ready,
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-            Readiness::Idle
-        }
-        Err(_) => Readiness::Closed,
-    }
-}
-
-/// One pool job: serve requests on `conn` while data keeps arriving, then
-/// park it in the reactor (or drop it on close/error/shutdown).
+/// One pool job: one non-blocking read of what the socket holds, then
+/// every complete request in the buffer served in order. The connection
+/// is parked again with any partial request still buffered, or dropped
+/// (closed) on peer close, error, refusal, `Connection: close`, an
+/// expired [`REQUEST_DEADLINE`], or shutdown.
 fn serve_turn(shared: &Arc<ServerShared>, mut conn: Conn) {
-    for _ in 0..TURN_QUOTA {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    let now = Instant::now();
+    if conn.buf.is_empty() {
+        conn.started = now;
+    }
+    let peer_closed = match recv_into(&conn.stream, &mut conn.buf, libc::MSG_DONTWAIT) {
+        Ok(n) => n == 0,
+        Err(e) if e.kind() == ErrorKind::WouldBlock => false,
+        Err(_) => return,
+    };
+    // Serve every complete request now: bytes already in the buffer never
+    // make the socket readable again.
+    let mut served = 0;
+    loop {
+        if shared.shutting_down() {
             return; // drop: shutdown closes keep-alive connections
         }
-        match await_data(&mut conn, KEEPALIVE_GRACE) {
-            Readiness::Ready => {}
-            Readiness::Idle => {
-                park(shared, conn);
-                return;
+        let pending = &conn.buf[served..];
+        let refusal = match parse_head(pending) {
+            Framing::NeedMore => break,
+            Framing::Refuse(Refusal::Malformed) => (400, BAD_HEAD_BODY),
+            _ if start_word(pending, 0) != Some("POST") => (405, METHOD_NOT_ALLOWED_BODY),
+            // Guessing a length would leave body bytes in the stream and
+            // desynchronize later keep-alive requests.
+            Framing::Refuse(Refusal::NoLength) => (400, UNFRAMEABLE_BODY),
+            Framing::Refuse(Refusal::TooLarge) => (413, TOO_LARGE_BODY),
+            Framing::Complete(head) => {
+                let Some(body) = pending.get(head.len..head.len + head.body_len) else {
+                    break; // the body is still arriving
+                };
+                match serve_request(shared, &mut conn.stream, body, head.close) {
+                    Ok(false) => served += head.len + head.body_len,
+                    Ok(true) | Err(_) => return, // explicit close or broken pipe
+                }
+                continue;
             }
-            Readiness::Closed => return,
-        }
-        match serve_one_request(&mut conn, shared) {
-            Ok(false) => continue,
-            Ok(true) | Err(_) => return, // explicit close or broken pipe
-        }
-    }
-    // Quota exhausted: hand the still-hot connection back through the
-    // reactor (re-queued behind whoever else is waiting) so one firehose
-    // client cannot starve everyone else.
-    shared.reactor.hand_back(conn);
-}
-
-fn park(shared: &ServerShared, conn: Conn) {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return; // drop: shutdown closes keep-alive connections
-    }
-    // Buffered pipelined bytes never hit the socket again, so epoll would
-    // sleep through them: such a connection must re-queue, not park.
-    // (`await_data` returning `Idle` implies an empty buffer; this guards
-    // the invariant regardless of the call path.)
-    if !conn.reader.buffer().is_empty() {
-        shared.reactor.hand_back(conn);
+        };
+        refuse(&mut conn, refusal);
         return;
     }
-    // Registration failure (or post-shutdown park) drops the connection,
-    // closing its socket.
-    let _ = shared.reactor.park(conn);
-}
-
-/// Headers both ends care about: body length (`None` when absent *or*
-/// unparseable — callers must reject rather than guess, or the keep-alive
-/// stream desynchronizes) and connection intent.
-struct Headers {
-    content_length: Option<usize>,
-    close: bool,
-}
-
-/// Read one head line (request, status or header line) into `line`,
-/// returning its length in bytes (0 at end of stream). A line longer than
-/// [`MAX_HEADER_LINE_BYTES`] is an `InvalidData` error, as is one that is
-/// not UTF-8, so no peer can grow the buffer without limit.
-fn read_head_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> std::io::Result<usize> {
-    let n = reader
-        .by_ref()
-        .take(MAX_HEADER_LINE_BYTES as u64)
-        .read_line(line)?;
-    if n == MAX_HEADER_LINE_BYTES && !line.ends_with('\n') {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            "head line too long",
-        ));
+    conn.buf.drain(..served);
+    if served > 0 {
+        conn.started = now; // any leftover is the next request's start
     }
-    Ok(n)
-}
-
-/// Read header lines up to the blank separator. One parser for the server
-/// and the client so the two ends can never disagree on framing. More
-/// than [`MAX_HEADERS`] lines is an `InvalidData` error.
-fn read_headers(reader: &mut BufReader<TcpStream>) -> std::io::Result<Headers> {
-    let mut headers = Headers {
-        content_length: None,
-        close: false,
+    let deadline = if conn.buf.is_empty() {
+        conn.buf = Vec::new(); // an idle connection holds no buffer
+        shared.idle_timeout.map(|idle| Instant::now() + idle)
+    } else if conn.started + REQUEST_DEADLINE > Instant::now() {
+        Some(conn.started + REQUEST_DEADLINE)
+    } else {
+        return; // the partial request ran out of time: close
     };
-    for _ in 0..=MAX_HEADERS {
-        let mut line = String::new();
-        if read_head_line(reader, &mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-headers",
-            ));
-        }
-        let line = line.trim_end().to_ascii_lowercase();
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        if let Some(value) = line.strip_prefix("content-length:") {
-            headers.content_length = value.trim().parse().ok();
-        }
-        if let Some(value) = line.strip_prefix("connection:") {
-            headers.close = value.trim() == "close";
-        }
+    if !peer_closed {
+        let _ = shared.reactor.park(conn, deadline); // failure drops (closes)
     }
-    Err(std::io::Error::new(
-        ErrorKind::InvalidData,
-        "too many headers",
-    ))
-}
-
-/// Read a request line and its headers. `Ok(None)`: the client closed the
-/// connection before sending anything.
-fn read_request_head(
-    reader: &mut BufReader<TcpStream>,
-) -> std::io::Result<Option<(String, Headers)>> {
-    let mut request_line = String::new();
-    if read_head_line(reader, &mut request_line)? == 0 {
-        return Ok(None);
-    }
-    Ok(Some((request_line, read_headers(reader)?)))
 }
 
 /// Answer a request the server will not serve, then close: first discard
 /// what the client already sent, so the close sends FIN rather than a
 /// RST that could destroy the answer before the client reads it.
-fn refuse(conn: &mut Conn, code: u16, body: &str) -> std::io::Result<bool> {
-    write_response(conn.stream(), code, true, body)?;
-    if conn.stream().set_nonblocking(true).is_ok() {
-        let mut pending = conn.stream().take(MAX_BODY_BYTES as u64);
-        let _ = std::io::copy(&mut pending, &mut std::io::sink());
+fn refuse(conn: &mut Conn, (code, body): (u16, &str)) {
+    if conn
+        .stream
+        .write_all(&http_response(code, true, body))
+        .is_err()
+    {
+        return;
     }
-    Ok(true)
+    let mut discarded = 0;
+    while discarded < MAX_BODY_BYTES {
+        conn.buf.clear();
+        match recv_into(&conn.stream, &mut conn.buf, libc::MSG_DONTWAIT) {
+            Ok(n) if n > 0 => discarded += n,
+            _ => break,
+        }
+    }
 }
 
-/// Serve exactly one `POST` request off `conn`. `Ok(close)` reports
-/// whether the connection must close afterwards; any `Err` poisons the
-/// stream (framing is unrecoverable) and the caller drops it.
-fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<bool> {
-    let front = &*shared.front;
-    // The first byte is known to be pending; the rest of the request gets
-    // a bounded window so a stalling client can't pin this worker.
-    conn.stream().set_read_timeout(Some(REQUEST_IO_TIMEOUT))?;
-
-    let (request_line, headers) = match read_request_head(&mut conn.reader) {
-        Ok(Some(head)) => head,
-        Ok(None) => return Ok(true), // client closed the connection
-        Err(e) if e.kind() == ErrorKind::InvalidData => return refuse(conn, 400, BAD_HEAD_BODY),
-        Err(e) => return Err(e),
-    };
-    let client_close = headers.close;
-
-    if request_line.split_whitespace().next() != Some("POST") {
-        return refuse(conn, 405, METHOD_NOT_ALLOWED_BODY);
-    }
-    // A POST without a parseable Content-Length cannot be framed: refuse
-    // and close rather than guess (guessing would leave body bytes in the
-    // stream and desynchronize later keep-alive requests).
-    let Some(content_length) = headers.content_length else {
-        return refuse(conn, 400, UNFRAMEABLE_BODY);
-    };
-    // Oversized bodies are refused with the connection closed, for the
-    // same framing reason.
-    if content_length > MAX_BODY_BYTES {
-        return refuse(conn, 413, TOO_LARGE_BODY);
-    }
-    let mut body = vec![0u8; content_length];
-    conn.reader.read_exact(&mut body)?;
-    let body = String::from_utf8_lossy(&body);
+/// Serve one framed `POST` body. `Ok(close)` reports whether the
+/// connection must close afterwards; any `Err` means the response could
+/// not be written and the caller drops the connection.
+fn serve_request(
+    shared: &ServerShared,
+    stream: &mut TcpStream,
+    body: &[u8],
+    client_close: bool,
+) -> std::io::Result<bool> {
+    let body = String::from_utf8_lossy(body);
 
     // Pre-dispatch faults: the request is fully read but *never* reaches
     // the service — what a crash between receive and dispatch looks like.
@@ -672,12 +584,12 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
             return Ok(true); // close silently, no response
         }
         if faults.take_fail() {
-            write_response(conn.stream(), 500, true, FAULTED_BODY)?;
+            stream.write_all(&http_response(500, true, FAULTED_BODY))?;
             return Ok(true);
         }
     }
 
-    let response = front.handle_json_scoped(&body, shared.scope);
+    let response = shared.front.handle_json_scoped(&body, shared.scope);
 
     // Post-dispatch faults: the service's effects (minted tokens, burned
     // one-time indexes) are real; only the answer is delayed or lost.
@@ -686,21 +598,127 @@ fn serve_one_request(conn: &mut Conn, shared: &ServerShared) -> std::io::Result<
             std::thread::sleep(delay);
         }
         if faults.take_truncate() {
-            write_truncated_response(conn.stream(), &response)?;
+            // Half the announced body, then close: the client hits EOF and
+            // must treat the exchange as a failure *after* dispatch.
+            let full = http_response(200, true, &response);
+            stream.write_all(&full[..full.len() - response.len().div_ceil(2)])?;
             return Ok(true);
         }
     }
 
-    write_response(conn.stream(), 200, client_close, &response)?;
+    stream.write_all(&http_response(200, client_close, &response))?;
     Ok(client_close)
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    code: u16,
+/// What [`parse_head`] found at the front of a buffer: no whole head yet,
+/// a head announcing a body within bounds, or a message that cannot be
+/// framed (the connection must close).
+#[derive(Debug, PartialEq, Eq)]
+enum Framing {
+    NeedMore,
+    Complete(Head),
+    Refuse(Refusal),
+}
+
+/// A complete message head: `len` bytes (blank line included, so the body
+/// starts there), the announced `Content-Length`, and whether the sender
+/// asked to close after this message.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Head {
+    len: usize,
+    body_len: usize,
     close: bool,
-    body: &str,
-) -> std::io::Result<()> {
+}
+
+/// Why a head cannot be framed: a line over [`MAX_HEADER_LINE_BYTES`],
+/// more than [`MAX_HEADERS`] header lines or a line that is not UTF-8; no
+/// parseable `Content-Length`; or one over [`MAX_BODY_BYTES`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Refusal {
+    Malformed,
+    NoLength,
+    TooLarge,
+}
+
+/// Frame the message head at the front of `buf`: the one parser for the
+/// server's requests and the client's responses, so the two ends can
+/// never disagree on framing. Pure, and stable under appending: once a
+/// buffer answers `Complete` or `Refuse`, every extension of it answers
+/// the same. Callers check the start line themselves ([`start_word`]).
+fn parse_head(buf: &[u8]) -> Framing {
+    let (mut pos, mut lines, mut content_length, mut close) = (0, 0, None, false);
+    loop {
+        let window = &buf[pos..buf.len().min(pos + MAX_HEADER_LINE_BYTES)];
+        let Some(end) = window.iter().position(|&b| b == b'\n') else {
+            return match window.len() {
+                MAX_HEADER_LINE_BYTES => Framing::Refuse(Refusal::Malformed),
+                _ => Framing::NeedMore,
+            };
+        };
+        let Ok(line) = std::str::from_utf8(&window[..end]) else {
+            return Framing::Refuse(Refusal::Malformed);
+        };
+        let line = line.trim_end();
+        (pos, lines) = (pos + end + 1, lines + 1);
+        if lines > 1 && line.is_empty() {
+            return match content_length {
+                None => Framing::Refuse(Refusal::NoLength),
+                Some(n) if n > MAX_BODY_BYTES => Framing::Refuse(Refusal::TooLarge),
+                Some(body_len) => Framing::Complete(Head {
+                    len: pos,
+                    body_len,
+                    close,
+                }),
+            };
+        }
+        if lines > 1 + MAX_HEADERS {
+            return Framing::Refuse(Refusal::Malformed);
+        }
+        // A start line posing as a header fails its caller's method or
+        // status check, so it needs no skipping here.
+        let (name, value) = line.split_once(':').unwrap_or_default();
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = value.trim().parse().ok();
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.trim().eq_ignore_ascii_case("close");
+        }
+    }
+}
+
+/// The `n`th word of the start line at the front of `buf`: a request's
+/// method (`n = 0`) or a response's status code (`n = 1`).
+fn start_word(buf: &[u8], n: usize) -> Option<&str> {
+    let line = buf.split(|&b| b == b'\n').next()?;
+    std::str::from_utf8(line).ok()?.split_whitespace().nth(n)
+}
+
+/// One `recv(2)` of at most [`READ_CHUNK`] bytes, appended to `buf`, so a
+/// buffer grows only by bytes that arrived: the count read, 0 at end of
+/// stream. The server passes `MSG_DONTWAIT` (an empty socket is a
+/// `WouldBlock` error); the client blocks under its read timeout.
+fn recv_into(stream: &TcpStream, buf: &mut Vec<u8>, flags: libc::c_int) -> std::io::Result<usize> {
+    let fd = stream.as_raw_fd();
+    let mut chunk = [MaybeUninit::<u8>::uninit(); READ_CHUNK];
+    loop {
+        // SAFETY: `chunk` is a live, writable buffer of READ_CHUNK bytes
+        // for the whole call; recv writes at most that many.
+        let n = unsafe { libc::recv(fd, chunk.as_mut_ptr().cast(), READ_CHUNK, flags) };
+        if n >= 0 {
+            // SAFETY: recv initialized the first `n` bytes of `chunk`.
+            let read = unsafe { std::slice::from_raw_parts(chunk.as_ptr().cast(), n as usize) };
+            buf.extend_from_slice(read);
+            return Ok(n as usize);
+        }
+        let e = std::io::Error::last_os_error();
+        if e.kind() != ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+}
+
+/// A whole response, to be sent in one `write_all`: a `write!` straight to
+/// the socket would send every formatted piece as its own segment.
+fn http_response(code: u16, close: bool, body: &str) -> Vec<u8> {
     let reason = match code {
         200 => "OK",
         400 => "Bad Request",
@@ -710,66 +728,41 @@ fn write_response(
         _ => "Method Not Allowed",
     };
     let connection = if close { "close" } else { "keep-alive" };
-    write!(
-        stream,
+    format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()
+    )
+    .into_bytes()
 }
 
-/// A response truncated mid-body, connection closed: the client's
-/// `read_exact` hits EOF and must treat the whole exchange as a transport
-/// failure *after* the request was dispatched.
-fn write_truncated_response(stream: &mut TcpStream, body: &str) -> std::io::Result<()> {
-    let half = body.len() / 2;
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        &body[..half]
-    )?;
-    stream.flush()
-}
-
-/// Read one HTTP response (status line, headers, content-length body) off
-/// `reader`, returning the status code and body.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, String)> {
-    let mut status = String::new();
-    if read_head_line(reader, &mut status)? == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed before response",
-        ));
+/// Read one HTTP response off `stream`, framed by [`parse_head`]: the
+/// status code, the body, and whether the connection can carry another
+/// request (no `Connection: close` and no bytes past the response). An
+/// unframeable response poisons the whole persistent connection, so it
+/// is an io::Error — round_trip drops the connection on any io::Error,
+/// forcing a clean reconnect.
+fn read_response(stream: &TcpStream) -> std::io::Result<(u16, String, bool)> {
+    let mut buf = Vec::new();
+    loop {
+        let invalid = match parse_head(&buf) {
+            Framing::Refuse(refusal) => format!("unframeable response: {refusal:?}"),
+            Framing::Complete(head) if buf.len() >= head.len + head.body_len => {
+                let end = head.len + head.body_len;
+                let body = String::from_utf8_lossy(&buf[head.len..end]).into_owned();
+                match start_word(&buf, 1).and_then(|code| code.parse().ok()) {
+                    Some(code) => return Ok((code, body, !head.close && buf.len() == end)),
+                    None => "unparseable status line".into(),
+                }
+            }
+            _ => {
+                if recv_into(stream, &mut buf, 0)? == 0 {
+                    return Err(ErrorKind::UnexpectedEof.into());
+                }
+                continue;
+            }
+        };
+        return Err(std::io::Error::new(ErrorKind::InvalidData, invalid));
     }
-    let code: u16 = status
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unparseable status line {status:?}"),
-            )
-        })?;
-    // An unframeable response poisons the whole persistent connection, so
-    // surface it as an io::Error — round_trip drops the connection on any
-    // io::Error, forcing a clean reconnect.
-    let Some(content_length) = read_headers(reader)?.content_length else {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response missing a parseable Content-Length",
-        ));
-    };
-    if content_length > MAX_BODY_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response body too large",
-        ));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok((code, String::from_utf8_lossy(&body).into_owned()))
 }
 
 /// Socket tuning for [`HttpClient`]: every phase of a round trip is
@@ -885,7 +878,7 @@ impl IoFailure {
 pub struct HttpClient {
     addr: SocketAddr,
     config: HttpClientConfig,
-    conn: parking_lot::Mutex<Option<BufReader<TcpStream>>>,
+    conn: parking_lot::Mutex<Option<TcpStream>>,
 }
 
 impl HttpClient {
@@ -918,7 +911,7 @@ impl HttpClient {
 
     fn round_trip_once(
         &self,
-        conn: &mut Option<BufReader<TcpStream>>,
+        conn: &mut Option<TcpStream>,
         body: &str,
     ) -> Result<(u16, String), IoFailure> {
         if conn.is_none() {
@@ -930,21 +923,22 @@ impl HttpClient {
                 Ok(stream)
             })()
             .map_err(IoFailure::Connect)?;
-            *conn = Some(BufReader::new(stream));
+            *conn = Some(stream);
         }
-        let reader = conn.as_mut().expect("connection just ensured");
-        let stream = reader.get_mut();
-        (|| {
-            write!(
-                stream,
-                "POST / HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                self.addr,
-                body.len()
-            )?;
-            stream.flush()
-        })()
-        .map_err(IoFailure::AfterSend)?;
-        read_response(reader).map_err(IoFailure::AfterSend)
+        let stream = conn.as_mut().expect("connection just ensured");
+        let request = format!(
+            "POST / HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+            self.addr,
+            body.len()
+        );
+        stream
+            .write_all(request.as_bytes())
+            .map_err(IoFailure::AfterSend)?;
+        let (status, text, reusable) = read_response(stream).map_err(IoFailure::AfterSend)?;
+        if !reusable {
+            *conn = None;
+        }
+        Ok((status, text))
     }
 
     /// One keep-alive round trip.
@@ -958,7 +952,7 @@ impl HttpClient {
     /// could mint twice (burning one-time counter indexes).
     fn round_trip(&self, body: &str, idempotent: bool) -> Result<(u16, String), CallError> {
         let mut conn = self.conn.lock();
-        if conn.as_mut().is_some_and(connection_is_stale) {
+        if conn.as_ref().is_some_and(connection_is_stale) {
             *conn = None;
         }
         let had_connection = conn.is_some();
@@ -1038,26 +1032,20 @@ impl HttpClient {
 
 /// Whether a pooled client connection can no longer carry a request:
 /// orderly FIN or error from the peer, or (never expected) stray unread
-/// bytes that would desynchronize the response framing.
-fn connection_is_stale(reader: &mut BufReader<TcpStream>) -> bool {
-    if !reader.buffer().is_empty() {
-        return true; // leftover response bytes: framing is already lost
-    }
-    let stream = reader.get_mut();
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let stale = match stream.peek(&mut probe) {
-        Ok(0) => true, // server closed while we were idle
-        Ok(_) => true, // unsolicited data: desynchronized
-        Err(e) if e.kind() == ErrorKind::WouldBlock => false,
-        Err(_) => true,
+/// bytes that would desynchronize the response framing. One
+/// non-blocking peek; only an empty, open socket is fresh.
+fn connection_is_stale(stream: &TcpStream) -> bool {
+    let mut probe = 0u8;
+    // SAFETY: `probe` is a live, writable byte and recv is asked for one.
+    let n = unsafe {
+        libc::recv(
+            stream.as_raw_fd(),
+            (&mut probe as *mut u8).cast(),
+            1,
+            libc::MSG_DONTWAIT | libc::MSG_PEEK,
+        )
     };
-    if stream.set_nonblocking(false).is_err() {
-        return true;
-    }
-    stale
+    n >= 0 || std::io::Error::last_os_error().kind() != ErrorKind::WouldBlock
 }
 
 impl TsApi for HttpClient {
@@ -1111,10 +1099,10 @@ mod tests {
     use super::*;
     use crate::rules::RuleBook;
     use crate::service::{TokenService, TokenServiceConfig};
+    use proptest::prelude::*;
     use smacs_crypto::Keypair;
     use smacs_primitives::Address;
     use smacs_token::TokenRequest;
-    use std::time::Instant;
 
     fn front() -> Arc<FrontEnd> {
         let service = TokenService::new(
@@ -1273,7 +1261,8 @@ mod tests {
         ] {
             let mut stream = TcpStream::connect(server.addr()).unwrap();
             stream.write_all(head.as_bytes()).unwrap();
-            let (status, body) = read_response(&mut BufReader::new(stream)).unwrap();
+            let (status, body, reusable) = read_response(&stream).unwrap();
+            assert!(!reusable, "a refusal closes the connection");
             assert_eq!(status, code);
             // Decoded the way `HttpClient` decodes any non-5xx answer.
             let envelope = ResponseEnvelope::from_json(&Json::parse(&body).unwrap()).unwrap();
@@ -1312,7 +1301,7 @@ mod tests {
         for client in &clients {
             client.ping().unwrap();
         }
-        // Give the grace periods a moment to lapse.
+        // Each turn parks its connection as it ends; wait for the last.
         let deadline = Instant::now() + Duration::from_secs(5);
         while server.parked_connections() < clients.len() {
             assert!(
@@ -1328,5 +1317,145 @@ mod tests {
             client.ping().unwrap();
         }
         server.shutdown();
+    }
+
+    /// One request as bytes, with the head [`parse_head`] must frame:
+    /// extra header lines, an optional `Connection: close`, and a body of
+    /// arbitrary bytes (framing never looks inside a body).
+    fn message(headers: &[(String, String)], body: &[u8], close: bool) -> (Vec<u8>, Head) {
+        let mut head = String::from("POST / HTTP/1.1\r\n");
+        for (name, value) in headers {
+            head += &format!("X-{name}: {value}\r\n");
+        }
+        head += &format!("Content-Length: {}\r\n", body.len());
+        if close {
+            head += "Connection: close\r\n";
+        }
+        head += "\r\n";
+        let framed = Head {
+            len: head.len(),
+            body_len: body.len(),
+            close,
+        };
+        let mut bytes = head.into_bytes();
+        bytes.extend_from_slice(body);
+        (bytes, framed)
+    }
+
+    /// Bytes drawn from the alphabet framing cares about, so generated
+    /// garbage reaches the line, header and length paths.
+    const HEAD_ALPHABET: &[u8] = b"\r\n\r\n:: Content-Length: Connection: close 0123456789\xff\xc3";
+
+    proptest! {
+        #[test]
+        fn every_prefix_of_a_pipelined_stream_needs_more_or_frames_the_same_head(
+            requests in prop::collection::vec(
+                (
+                    prop::collection::vec(("[a-z]{1,8}", "[a-z0-9 ]{0,16}"), 0..4),
+                    prop::collection::vec(any::<u8>(), 0..48),
+                    any::<bool>(),
+                ),
+                1..4,
+            )
+        ) {
+            let mut stream = Vec::new();
+            let mut heads = Vec::new();
+            for (headers, body, close) in &requests {
+                let (bytes, head) = message(headers, body, *close);
+                heads.push((stream.len(), head));
+                stream.extend_from_slice(&bytes);
+            }
+            for (start, head) in heads {
+                let rest = &stream[start..];
+                for end in 0..=rest.len() {
+                    let expected = if end < head.len {
+                        Framing::NeedMore
+                    } else {
+                        Framing::Complete(head)
+                    };
+                    prop_assert_eq!(parse_head(&rest[..end]), expected, "prefix {}", end);
+                }
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_framer(
+            raw in prop::collection::vec(any::<u8>(), 0..600),
+            picks in prop::collection::vec(0usize..HEAD_ALPHABET.len(), 0..600),
+        ) {
+            let shaped: Vec<u8> = picks.iter().map(|&i| HEAD_ALPHABET[i]).collect();
+            for bytes in [raw, shaped] {
+                if let Framing::Complete(head) = parse_head(&bytes) {
+                    prop_assert!(head.len <= bytes.len());
+                    prop_assert!(head.body_len <= MAX_BODY_BYTES);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn framer_refuses_what_breaks_a_cap_or_cannot_be_framed() {
+        let with = |extra: &str| format!("POST / HTTP/1.1\r\n{extra}Content-Length: 0\r\n\r\n");
+        // A line of exactly the cap, terminator included, still frames;
+        // one byte more is refused, as soon as the cap is buffered.
+        let at_cap = format!("X-Pad: {}\r\n", "a".repeat(MAX_HEADER_LINE_BYTES - 9));
+        assert_eq!(at_cap.len(), MAX_HEADER_LINE_BYTES);
+        assert!(matches!(
+            parse_head(with(&at_cap).as_bytes()),
+            Framing::Complete(_)
+        ));
+        let over_cap = format!("X-Pad: {}\r\n", "a".repeat(MAX_HEADER_LINE_BYTES - 8));
+        assert_eq!(
+            parse_head(with(&over_cap).as_bytes()),
+            Framing::Refuse(Refusal::Malformed)
+        );
+        let endless = format!(
+            "POST / HTTP/1.1\r\nX-Pad: {}",
+            "a".repeat(MAX_HEADER_LINE_BYTES)
+        );
+        assert_eq!(
+            parse_head(endless.as_bytes()),
+            Framing::Refuse(Refusal::Malformed)
+        );
+        // 64 header lines frame; a 65th is refused without waiting for
+        // the blank line.
+        let pads = |n: usize| "X-Pad: a\r\n".repeat(n);
+        assert!(matches!(
+            parse_head(with(&pads(MAX_HEADERS - 1)).as_bytes()),
+            Framing::Complete(_)
+        ));
+        let too_many = format!("POST / HTTP/1.1\r\n{}", pads(MAX_HEADERS + 1));
+        assert_eq!(
+            parse_head(too_many.as_bytes()),
+            Framing::Refuse(Refusal::Malformed)
+        );
+        // A head that is not UTF-8.
+        let mut bad = b"POST / HTTP/1.1\r\nX-Bad: \xff\r\n".to_vec();
+        bad.extend_from_slice(b"Content-Length: 0\r\n\r\n");
+        assert_eq!(parse_head(&bad), Framing::Refuse(Refusal::Malformed));
+        // Content-Length missing, unparseable, or past the body cap.
+        for (head, refusal) in [
+            (
+                "POST / HTTP/1.1\r\nHost: t\r\n\r\n".to_string(),
+                Refusal::NoLength,
+            ),
+            (
+                "POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n".to_string(),
+                Refusal::NoLength,
+            ),
+            (
+                format!(
+                    "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                    MAX_BODY_BYTES + 1
+                ),
+                Refusal::TooLarge,
+            ),
+        ] {
+            assert_eq!(
+                parse_head(head.as_bytes()),
+                Framing::Refuse(refusal),
+                "{head:?}"
+            );
+        }
     }
 }

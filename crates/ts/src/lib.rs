@@ -44,9 +44,10 @@
 //! reactor (1 thread, epoll_wait) ──readable conn──▶ high-priority lane ─┐
 //!   │  owns: listener + every parked                                    │
 //!   │  keep-alive conn + eventfd wake     worker pool (fixed N threads)─┤
+//!   │  + each one's deadline        turn: read without blocking, serve  │
 //!   ├──listener readable──▶ low-priority lane ──▶ accept drain          │
 //!   │       (signing never queues behind accepts)                       │
-//!   ◀──────── park idle conn back / hand back pipelined conn ───────────┘
+//!   ◀──────── park conn back (with any partial request buffered) ───────┘
 //!
 //! issue_batch ──▶ scope_map fan-out: calling thread + idle workers sign
 //!                 in parallel, results in request order
@@ -57,10 +58,11 @@
 //! ```
 //!
 //! - **Connections** cost `O(workers)` threads, not `O(connections)`: a
-//!   worker serves a connection only while it is talking, then parks it
-//!   in the reactor's epoll set, where 50 000+ idle keep-alive
+//!   worker never waits on a socket read, and parks each connection in
+//!   the reactor's epoll set between turns, where 50 000+ idle keep-alive
 //!   connections cost zero steady-state CPU — the reactor blocks in
-//!   `epoll_wait` until one becomes readable, closes, or idles out. One
+//!   `epoll_wait` until one becomes readable, closes, or reaches its
+//!   deadline (idle, or [`http::REQUEST_DEADLINE`] mid-request). One
 //!   struct literal configures a server: [`http::HttpServerConfig`] with
 //!   `..Default::default()` (`workers`, `queue_capacity`,
 //!   `max_connections`, `idle_timeout`, an optional shared `pool`, …).

@@ -10,30 +10,34 @@
 //! - Parked items are registered level-triggered with `EPOLLONESHOT`:
 //!   the kernel reports each readiness exactly once, and the reactor
 //!   removes the item from its table (plus `EPOLL_CTL_DEL`, so a later
-//!   re-park can `ADD` again) before handing it to the client.
+//!   re-park can `ADD` again) before handing it to the client. An item
+//!   parked while its socket still holds bytes fires at once, so the
+//!   reactor never needs to be told about buffered data.
+//! - Each parked item carries its own deadline (or none). The loop
+//!   sleeps until the soonest one and closes every item whose deadline
+//!   passed; when no parked item has a deadline it blocks indefinitely.
 //! - The listener is also one-shot: an accept burst is a single event,
 //!   answered by queueing one *low-priority* drain job; the job re-arms
 //!   the registration when the backlog is empty. Level-triggered re-arm
 //!   means connections that raced in meanwhile re-fire immediately.
-//! - An `eventfd` wakes the loop for shutdown and for items workers hand
-//!   back (hot connections re-entering the queue after their turn quota)
-//!   — no self-connect hack, no polling.
+//! - An `eventfd` wakes the loop for shutdown — no self-connect hack, no
+//!   polling.
 //! - When the client's queue refuses a dispatch ([`ReactorClient::
 //!   on_ready`] returns the item), the reactor parks it in a retry
 //!   backlog and polls with a short timeout instead of blocking forever;
 //!   the bytes wait in the socket, nothing is dropped.
 //!
-//! The reactor is generic over the parked item (anything `AsRawFd`) so
-//! its register/re-arm/close races are unit-testable on bare
-//! `TcpStream`s below, independent of HTTP.
+//! The reactor does no I/O on the items and is generic over them
+//! (anything `AsRawFd`), so its register/re-arm/close races are
+//! unit-testable on bare `TcpStream`s below, independent of HTTP.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Token values 0/1 are reserved; parked items get 2+.
 const TOKEN_WAKE: u64 = 0;
@@ -58,9 +62,21 @@ pub(crate) trait ReactorClient<T>: Send + Sync {
     fn on_accept_ready(&self) -> bool;
 }
 
-struct ParkedItem<T> {
-    item: T,
-    since: Instant,
+/// The parked table: items by token, and the deadlines of those that
+/// have one, soonest first.
+struct Parked<T> {
+    items: HashMap<u64, (T, Option<Instant>)>,
+    deadlines: BTreeSet<(Instant, u64)>,
+}
+
+impl<T> Parked<T> {
+    fn take(&mut self, token: u64) -> Option<T> {
+        let (item, deadline) = self.items.remove(&token)?;
+        if let Some(deadline) = deadline {
+            self.deadlines.remove(&(deadline, token));
+        }
+        Some(item)
+    }
 }
 
 /// The readiness core: epoll fd + wake eventfd + listener + parked table.
@@ -69,15 +85,11 @@ pub(crate) struct Reactor<T> {
     wake_fd: libc::c_int,
     listener: Mutex<Option<TcpListener>>,
     listener_fd: libc::c_int,
-    parked: Mutex<HashMap<u64, ParkedItem<T>>>,
-    /// Items workers hand back for immediate re-dispatch (quota-exhausted
-    /// hot connections, or parked ones whose buffer still holds bytes).
-    handback: Mutex<Vec<T>>,
+    parked: Mutex<Parked<T>>,
     next_token: AtomicU64,
     /// Set by `close_all`: late `park` calls fail instead of leaking
     /// items into a table nobody will ever poll again.
     closed: AtomicBool,
-    idle_timeout: Option<Duration>,
 }
 
 fn cvt(ret: libc::c_int) -> io::Result<libc::c_int> {
@@ -91,7 +103,7 @@ fn cvt(ret: libc::c_int) -> io::Result<libc::c_int> {
 impl<T: AsRawFd + Send> Reactor<T> {
     /// Build a reactor owning `listener` (switched to non-blocking and
     /// registered one-shot) plus a fresh epoll instance and wake eventfd.
-    pub(crate) fn new(listener: TcpListener, idle_timeout: Option<Duration>) -> io::Result<Self> {
+    pub(crate) fn new(listener: TcpListener) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let listener_fd = listener.as_raw_fd();
         let epfd = cvt(unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) })?;
@@ -108,11 +120,12 @@ impl<T: AsRawFd + Send> Reactor<T> {
             wake_fd,
             listener: Mutex::new(Some(listener)),
             listener_fd,
-            parked: Mutex::new(HashMap::new()),
-            handback: Mutex::new(Vec::new()),
+            parked: Mutex::new(Parked {
+                items: HashMap::new(),
+                deadlines: BTreeSet::new(),
+            }),
             next_token: AtomicU64::new(2),
             closed: AtomicBool::new(false),
-            idle_timeout,
         };
         reactor.ctl(libc::EPOLL_CTL_ADD, wake_fd, libc::EPOLLIN, TOKEN_WAKE)?;
         reactor.ctl(
@@ -129,10 +142,21 @@ impl<T: AsRawFd + Send> Reactor<T> {
         cvt(unsafe { libc::epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
     }
 
-    /// Park an idle item: it costs nothing until its fd becomes readable
-    /// (or the peer closes), at which point it is dispatched exactly once.
-    /// Fails after `close_all` (the caller should drop the item).
-    pub(crate) fn park(&self, item: T) -> io::Result<()> {
+    /// Fully deregister (one-shot only disarms) so a later park can ADD
+    /// the fd again.
+    fn deregister(&self, item: &T) {
+        let fd = item.as_raw_fd();
+        // SAFETY: EPOLL_CTL_DEL ignores the event pointer, so null is
+        // allowed; `self.epfd` stays open for the reactor's lifetime.
+        let _ =
+            unsafe { libc::epoll_ctl(self.epfd, libc::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
+    }
+
+    /// Park an item: it costs nothing until its fd becomes readable (or
+    /// the peer closes), at which point it is dispatched exactly once —
+    /// or until `deadline`, when the reactor drops (closes) it. Fails
+    /// after `close_all` (the caller should drop the item).
+    pub(crate) fn park(&self, item: T, deadline: Option<Instant>) -> io::Result<()> {
         if self.closed.load(Ordering::SeqCst) {
             return Err(io::Error::new(
                 io::ErrorKind::NotConnected,
@@ -143,13 +167,13 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let fd = item.as_raw_fd();
         // Insert before ADD so the event (which can fire on another
         // thread's epoll_wait immediately) always finds its item.
-        self.parked.lock().expect("parked lock").insert(
-            token,
-            ParkedItem {
-                item,
-                since: Instant::now(),
-            },
-        );
+        {
+            let mut parked = self.parked.lock().expect("parked lock");
+            parked.items.insert(token, (item, deadline));
+            if let Some(deadline) = deadline {
+                parked.deadlines.insert((deadline, token));
+            }
+        }
         let armed = self.ctl(
             libc::EPOLL_CTL_ADD,
             fd,
@@ -157,16 +181,11 @@ impl<T: AsRawFd + Send> Reactor<T> {
             token,
         );
         if armed.is_err() {
-            self.parked.lock().expect("parked lock").remove(&token);
+            self.parked.lock().expect("parked lock").take(token);
+        } else if deadline.is_some() {
+            self.wake(); // the loop may be asleep until a later deadline
         }
         armed
-    }
-
-    /// Queue an item for immediate re-dispatch (no readiness wait) and
-    /// wake the loop. Used by workers for quota-exhausted hot connections.
-    pub(crate) fn hand_back(&self, item: T) {
-        self.handback.lock().expect("handback lock").push(item);
-        self.wake();
     }
 
     /// Wake a (possibly indefinitely) blocked `epoll_wait`.
@@ -201,20 +220,22 @@ impl<T: AsRawFd + Send> Reactor<T> {
 
     /// Items currently parked (diagnostics).
     pub(crate) fn parked_len(&self) -> usize {
-        self.parked.lock().expect("parked lock").len()
+        self.parked.lock().expect("parked lock").items.len()
     }
 
-    /// Close the listener and drop every parked / handed-back item
-    /// (dropping closes their sockets). Idempotent; later `park`s fail.
+    /// Close the listener and drop every parked item (dropping closes
+    /// their sockets). Idempotent; later `park`s fail.
     pub(crate) fn close_all(&self) {
         self.closed.store(true, Ordering::SeqCst);
         *self.listener.lock().expect("listener lock") = None;
-        self.parked.lock().expect("parked lock").clear();
-        self.handback.lock().expect("handback lock").clear();
+        let mut parked = self.parked.lock().expect("parked lock");
+        parked.items.clear();
+        parked.deadlines.clear();
     }
 
-    /// The reactor loop. Blocks in `epoll_wait` (indefinitely when
-    /// nothing needs a timer) until shutdown; returns after `close_all`.
+    /// The reactor loop. Blocks in `epoll_wait` (indefinitely when no
+    /// parked item has a deadline) until shutdown; returns after
+    /// `close_all`.
     pub(crate) fn run<C: ReactorClient<T>>(&self, client: &C) {
         let mut ready: VecDeque<T> = VecDeque::new();
         let mut accept_pending = false;
@@ -224,16 +245,17 @@ impl<T: AsRawFd + Send> Reactor<T> {
                 self.close_all();
                 return;
             }
-            let timeout_ms: libc::c_int = if !ready.is_empty() || accept_pending {
+            let timeout_ms = if !ready.is_empty() || accept_pending {
                 RETRY_DELAY_MS
-            } else if self.idle_timeout.is_some() && self.parked_len() > 0 {
-                // Reap expired idlers at a quarter of the limit's
-                // granularity; without a timeout, block indefinitely —
-                // that's the "idle connections cost zero CPU" property.
-                let limit = self.idle_timeout.expect("checked above");
-                (limit.as_millis() / 4).clamp(1, 500) as libc::c_int
             } else {
-                -1
+                // Sleep until the soonest deadline, rounded up to the next
+                // millisecond; with none, block indefinitely — that's the
+                // "idle connections cost zero CPU" property.
+                let parked = self.parked.lock().expect("parked lock");
+                parked.deadlines.first().map_or(-1, |&(deadline, _)| {
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    wait.as_millis().min(1 << 30) as libc::c_int + 1
+                })
             };
             let n = unsafe {
                 libc::epoll_wait(
@@ -253,24 +275,14 @@ impl<T: AsRawFd + Send> Reactor<T> {
                     TOKEN_WAKE => self.drain_wake(),
                     TOKEN_ACCEPT => accept_pending = true,
                     token => {
-                        let taken = self.parked.lock().expect("parked lock").remove(&token);
-                        if let Some(parked) = taken {
-                            // Fully deregister (one-shot only disarms) so
-                            // a later re-park can ADD the fd again.
-                            let _ = unsafe {
-                                libc::epoll_ctl(
-                                    self.epfd,
-                                    libc::EPOLL_CTL_DEL,
-                                    parked.item.as_raw_fd(),
-                                    std::ptr::null_mut(),
-                                )
-                            };
-                            ready.push_back(parked.item);
+                        let taken = self.parked.lock().expect("parked lock").take(token);
+                        if let Some(item) = taken {
+                            self.deregister(&item);
+                            ready.push_back(item);
                         }
                     }
                 }
             }
-            ready.extend(self.handback.lock().expect("handback lock").drain(..));
             // Readable connections dispatch ahead of accepts — the
             // priority inversion the two-lane pool exists to prevent.
             while let Some(item) = ready.pop_front() {
@@ -282,9 +294,7 @@ impl<T: AsRawFd + Send> Reactor<T> {
             if accept_pending && client.on_accept_ready() {
                 accept_pending = false;
             }
-            if let Some(limit) = self.idle_timeout {
-                self.reap_idle(limit);
-            }
+            self.reap_expired();
         }
     }
 
@@ -294,24 +304,13 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let _ = unsafe { libc::read(self.wake_fd, (&mut buf as *mut u64).cast(), 8) };
     }
 
-    fn reap_idle(&self, limit: Duration) {
+    /// Drop (close) every parked item whose deadline has passed.
+    fn reap_expired(&self) {
+        let now = Instant::now();
         let mut parked = self.parked.lock().expect("parked lock");
-        let expired: Vec<u64> = parked
-            .iter()
-            .filter(|(_, p)| p.since.elapsed() >= limit)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            if let Some(p) = parked.remove(&token) {
-                let _ = unsafe {
-                    libc::epoll_ctl(
-                        self.epfd,
-                        libc::EPOLL_CTL_DEL,
-                        p.item.as_raw_fd(),
-                        std::ptr::null_mut(),
-                    )
-                };
-                // Dropping the item closes its socket.
+        while let Some(&(_, token)) = parked.deadlines.first().filter(|(d, _)| *d <= now) {
+            if let Some(item) = parked.take(token) {
+                self.deregister(&item);
             }
         }
     }
@@ -333,14 +332,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc::{channel, Sender};
     use std::sync::{Arc, OnceLock};
+    use std::time::Duration;
 
-    /// Test client: parks every accepted stream, forwards every ready
-    /// stream through a channel.
+    /// Test client: parks every accepted stream (with `accept_deadline`
+    /// from now, if set), forwards every ready stream through a channel.
     struct EchoClient {
         shutdown: AtomicBool,
         ready_tx: Mutex<Sender<TcpStream>>,
         reactor: OnceLock<Arc<Reactor<TcpStream>>>,
         accept_events: AtomicUsize,
+        accept_deadline: Option<Duration>,
     }
 
     impl ReactorClient<TcpStream> for EchoClient {
@@ -355,7 +356,8 @@ mod tests {
             self.accept_events.fetch_add(1, Ordering::SeqCst);
             let reactor = self.reactor.get().expect("reactor set");
             while let Ok((stream, _)) = reactor.try_accept() {
-                reactor.park(stream).unwrap();
+                let deadline = self.accept_deadline.map(|d| Instant::now() + d);
+                reactor.park(stream, deadline).unwrap();
             }
             reactor.rearm_accept();
             true
@@ -370,16 +372,17 @@ mod tests {
         thread: Option<std::thread::JoinHandle<()>>,
     }
 
-    fn rig(idle_timeout: Option<Duration>) -> Rig {
+    fn rig(accept_deadline: Option<Duration>) -> Rig {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let reactor = Arc::new(Reactor::new(listener, idle_timeout).unwrap());
+        let reactor = Arc::new(Reactor::new(listener).unwrap());
         let (tx, rx) = channel();
         let client = Arc::new(EchoClient {
             shutdown: AtomicBool::new(false),
             ready_tx: Mutex::new(tx),
             reactor: OnceLock::new(),
             accept_events: AtomicUsize::new(0),
+            accept_deadline,
         });
         client.reactor.set(reactor.clone()).ok().unwrap();
         let (r, c) = (reactor.clone(), client.clone());
@@ -415,7 +418,7 @@ mod tests {
         served.read_exact(&mut byte).unwrap();
         assert_eq!(&byte, b"a");
         // Nothing further pending: re-parking must NOT re-dispatch…
-        rig.reactor.park(served).unwrap();
+        rig.reactor.park(served, None).unwrap();
         assert!(rig.rx.recv_timeout(Duration::from_millis(100)).is_err());
         assert_eq!(rig.reactor.parked_len(), 1);
         // …until the next byte arrives (the re-arm race).
@@ -447,46 +450,39 @@ mod tests {
     }
 
     #[test]
-    fn handback_dispatches_without_a_readiness_event() {
-        let rig = rig(None);
-        let _peer = TcpStream::connect(rig.addr).unwrap();
-        let deadline = Instant::now() + WAIT;
-        while rig.reactor.parked_len() == 0 {
-            assert!(Instant::now() < deadline, "never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Steal the parked stream (simulating a worker turn), then hand
-        // it back: it must come around as ready with no bytes pending.
-        let stream = {
-            let mut parked = rig.reactor.parked.lock().unwrap();
-            let token = *parked.keys().next().unwrap();
-            parked.remove(&token).unwrap().item
-        };
-        rig.reactor.hand_back(stream);
-        assert!(rig.rx.recv_timeout(WAIT).is_ok());
-        rig.stop();
-    }
-
-    #[test]
-    fn idle_timeout_reaps_parked_streams() {
-        let rig = rig(Some(Duration::from_millis(30)));
-        let peer = TcpStream::connect(rig.addr).unwrap();
-        let deadline = Instant::now() + WAIT;
-        while rig.reactor.parked_len() == 0 {
-            assert!(Instant::now() < deadline, "never parked");
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Reaped without ever being dispatched: the peer sees the close.
-        let deadline = Instant::now() + WAIT;
-        while rig.reactor.parked_len() > 0 {
-            assert!(Instant::now() < deadline, "never reaped");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(rig.rx.try_recv().is_err());
-        let mut peer = peer;
-        peer.set_read_timeout(Some(WAIT)).unwrap();
+    fn deadlines_reap_only_the_parked_streams_that_carry_them() {
+        // Accepted streams park with a 200 ms deadline. One of them talks
+        // first and is re-parked without a deadline: it must outlive the
+        // other, which is closed at its deadline without ever being
+        // dispatched.
+        let rig = rig(Some(Duration::from_millis(200)));
+        let mut kept = TcpStream::connect(rig.addr).unwrap();
+        kept.write_all(b"a").unwrap();
+        let mut served = rig.rx.recv_timeout(WAIT).unwrap();
         let mut byte = [0u8; 1];
-        assert_eq!(peer.read(&mut byte).unwrap_or(0), 0, "expected FIN");
+        served.read_exact(&mut byte).unwrap();
+        rig.reactor.park(served, None).unwrap();
+
+        let mut reaped = TcpStream::connect(rig.addr).unwrap();
+        let start = Instant::now();
+        reaped.set_read_timeout(Some(WAIT)).unwrap();
+        assert_eq!(reaped.read(&mut byte).unwrap_or(0), 0, "expected FIN");
+        let waited = start.elapsed();
+        assert!(
+            waited >= Duration::from_millis(150) && waited < WAIT,
+            "reaped after {waited:?}"
+        );
+        assert!(
+            rig.rx.try_recv().is_err(),
+            "the reaped stream was dispatched"
+        );
+        assert_eq!(rig.reactor.parked_len(), 1);
+
+        // The stream without a deadline is still parked and still live.
+        kept.write_all(b"b").unwrap();
+        let mut served = rig.rx.recv_timeout(WAIT).unwrap();
+        served.read_exact(&mut byte).unwrap();
+        assert_eq!(&byte, b"b");
         rig.stop();
     }
 
@@ -505,6 +501,6 @@ mod tests {
         assert!(start.elapsed() < Duration::from_secs(2), "wake was slow");
         assert_eq!(reactor.parked_len(), 0);
         // Late parks fail instead of leaking into a dead table.
-        assert!(reactor.park(peer.try_clone().unwrap()).is_err());
+        assert!(reactor.park(peer.try_clone().unwrap(), None).is_err());
     }
 }

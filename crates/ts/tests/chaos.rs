@@ -488,9 +488,9 @@ fn discovered_directory_survives_kill_and_recovery() {
 fn request_faults_fire_on_connections_parked_in_the_reactor() {
     let set = set();
     let client = HttpClient::connect(set.addrs()[0]);
-    // Establish and let the connection park (keep-alive grace is ~1 ms;
-    // the pause guarantees the next request arrives via epoll readiness,
-    // not the same serving turn).
+    // Establish and let the connection park (every turn ends by parking
+    // it; the pause makes sure the next request arrives via epoll
+    // readiness on a parked connection, not on one still in its turn).
     client.ping().unwrap();
     std::thread::sleep(Duration::from_millis(50));
 

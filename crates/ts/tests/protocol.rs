@@ -1,21 +1,24 @@
 //! Front-end protocol coverage: malformed-envelope rejection (in process
-//! and over raw sockets), batch partial-failure semantics, and keep-alive
-//! connection reuse.
+//! and over raw sockets), batch partial-failure semantics, keep-alive
+//! connection reuse, request framing under any chunking, and slow
+//! clients.
 
+use proptest::prelude::*;
 use smacs_crypto::Keypair;
 use smacs_primitives::json::{FromJson, Json, ToJson};
 use smacs_primitives::Address;
 use smacs_token::{TokenRequest, TokenType};
 use smacs_ts::api::ResponseEnvelope;
 use smacs_ts::front::FrontEnd;
-use smacs_ts::http::{HttpClient, HttpServer};
+use smacs_ts::http::{HttpClient, HttpServer, HttpServerConfig, MAX_BODY_BYTES, REQUEST_DEADLINE};
 use smacs_ts::{
     ErrorCode, ListPolicy, RuleBook, TokenService, TokenServiceConfig, TsApi, MAX_BATCH,
     PROTOCOL_VERSION,
 };
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn front() -> Arc<FrontEnd> {
     Arc::new(FrontEnd::new(
@@ -403,6 +406,242 @@ fn close_semantics_honored_per_request() {
         let (status, text) = post_raw(server.addr(), &v2("issue", request(30 + i).to_json()));
         assert_eq!(status, 200);
         assert_eq!(parse(&text).get("ok").and_then(Json::as_bool), Some(true));
+    }
+    server.shutdown();
+}
+
+// ---- framing: pipelining, chunking, half-close ----
+
+/// `k` requests whose responses name them: an unknown op is answered
+/// `bad_envelope` with the op in the message, so order is checkable
+/// without signing anything.
+fn probes(k: usize) -> (Vec<u8>, Vec<String>) {
+    let mut stream = Vec::new();
+    let mut ops = Vec::new();
+    for i in 0..k {
+        let op = format!("probe_{i}");
+        let body = v2(&op, Json::Null);
+        write!(
+            stream,
+            "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        ops.push(op);
+    }
+    (stream, ops)
+}
+
+/// Read one response (status line, headers, `Content-Length` body);
+/// `None` at a clean end of stream.
+fn read_one_response(reader: &mut impl BufRead) -> Option<(u16, String)> {
+    let mut status = String::new();
+    if reader.read_line(&mut status).unwrap() == 0 {
+        return None;
+    }
+    let code = status.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let mut content_length = 0;
+    loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let line = line.trim_end().to_ascii_lowercase();
+        if line.is_empty() {
+            break;
+        }
+        if let Some(v) = line.strip_prefix("content-length:") {
+            content_length = v.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).unwrap();
+    Some((code, String::from_utf8(body).unwrap()))
+}
+
+/// Write `stream` to a fresh connection cut at `cuts` (sorted offsets),
+/// optionally half-close, and return the unknown op each response names.
+/// A half-closed exchange reads to the server's close; otherwise it reads
+/// `expect` responses and checks nothing more is sent.
+fn exchange(
+    addr: SocketAddr,
+    stream: &[u8],
+    cuts: &[usize],
+    half_close: bool,
+    expect: usize,
+) -> Vec<String> {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut from = 0;
+    for &cut in cuts.iter().chain([&stream.len()]) {
+        conn.write_all(&stream[from..cut]).unwrap();
+        from = cut;
+    }
+    if half_close {
+        conn.shutdown(Shutdown::Write).unwrap();
+    }
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut named = Vec::new();
+    while half_close || named.len() < expect {
+        let Some((code, body)) = read_one_response(&mut reader) else {
+            break;
+        };
+        assert_eq!(code, 200);
+        let message = parse(&body)
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string();
+        named.push(message);
+    }
+    if !half_close {
+        conn.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut extra = [0u8; 1];
+        let quiet = matches!(reader.read(&mut extra), Err(e) if e.kind() == ErrorKind::WouldBlock);
+        assert!(quiet, "bytes past the last expected response");
+    }
+    named
+}
+
+fn expected_names(ops: &[String]) -> Vec<String> {
+    ops.iter().map(|op| format!("unknown op {op:?}")).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn pipelined_requests_in_any_chunking_get_every_response_in_order(
+        k in 1usize..6,
+        picks in prop::collection::vec(any::<u16>(), 0..12),
+    ) {
+        let server = HttpServer::start(front()).unwrap();
+        let (stream, ops) = probes(k);
+        let mut arbitrary: Vec<usize> = picks.iter().map(|&p| p as usize % stream.len()).collect();
+        arbitrary.sort_unstable();
+        let byte_at_a_time: Vec<usize> = (1..stream.len()).collect();
+        for cuts in [Vec::new(), byte_at_a_time, arbitrary] {
+            let named = exchange(server.addr(), &stream, &cuts, false, k);
+            prop_assert_eq!(&named, &expected_names(&ops), "cuts {:?}", cuts);
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_half_closed_client_still_gets_every_response(
+        k in 1usize..6,
+        picks in prop::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let server = HttpServer::start(front()).unwrap();
+        let (stream, ops) = probes(k);
+        let mut cuts: Vec<usize> = picks.iter().map(|&p| p as usize % stream.len()).collect();
+        cuts.sort_unstable();
+        let named = exchange(server.addr(), &stream, &cuts, true, k);
+        prop_assert_eq!(named, expected_names(&ops));
+        server.shutdown();
+    }
+}
+
+// ---- slow clients ----
+
+/// How often a trickling client sends its next byte.
+const TRICKLE: Duration = Duration::from_millis(50);
+
+/// Slack past [`REQUEST_DEADLINE`] for the server's close to reach a
+/// trickling client: the reactor wakes at each parked connection's own
+/// deadline, so this covers only timer and scheduling latency on a
+/// loaded host.
+const REAPER_TICK: Duration = Duration::from_millis(500);
+
+/// Open a connection, send `opening`, then one `byte` every [`TRICKLE`]
+/// until the server hangs up. Returns how long after the first byte the
+/// close arrived.
+fn trickle(addr: SocketAddr, opening: String, byte: u8) -> Duration {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(TRICKLE)).unwrap();
+    conn.write_all(opening.as_bytes()).unwrap();
+    let first_byte = Instant::now();
+    let mut probe = [0u8; 1];
+    loop {
+        match conn.read(&mut probe) {
+            Ok(0) => break,
+            Ok(_) => panic!("a request that never completes got an answer"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => break, // reset: the server closed with bytes unread
+        }
+        assert!(
+            first_byte.elapsed() < REQUEST_DEADLINE * 2,
+            "the server never closed a trickling connection"
+        );
+        if conn.write_all(&[byte]).is_err() {
+            break;
+        }
+    }
+    first_byte.elapsed()
+}
+
+#[test]
+fn trickling_clients_neither_pin_workers_nor_outlive_the_request_deadline() {
+    // Two workers, four trickling connections: two stall inside the head,
+    // two inside a body announced at the cap. None may hold a worker
+    // between its bytes, and none may outlive the request deadline.
+    let server = HttpServer::start_with(
+        front(),
+        HttpServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let tricklers: Vec<_> = (0..4)
+        .map(|i| {
+            let (opening, byte) = if i < 2 {
+                ("POST / HTTP/1.1\r\n".to_string(), b'x')
+            } else {
+                (
+                    format!(
+                        "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n"
+                    ),
+                    b'[',
+                )
+            };
+            std::thread::spawn(move || trickle(addr, opening, byte))
+        })
+        .collect();
+    // Let every trickler get its first bytes dispatched.
+    std::thread::sleep(TRICKLE * 4);
+
+    let client = HttpClient::connect(addr);
+    let mut latencies: Vec<Duration> = (0..120u64)
+        .map(|i| {
+            let start = Instant::now();
+            let issued = client.issue(&request(100 + i));
+            let took = start.elapsed();
+            assert!(
+                issued.is_ok(),
+                "issue {i} failed after {took:?}: {issued:?}"
+            );
+            took
+        })
+        .collect();
+    latencies.sort_unstable();
+    let p99 = latencies[(latencies.len() * 99).div_ceil(100) - 1];
+    assert!(
+        p99 <= Duration::from_millis(50),
+        "issue p99 {p99:?} beside trickling clients"
+    );
+
+    for trickler in tricklers {
+        let closed_after = trickler.join().unwrap();
+        assert!(
+            closed_after >= REQUEST_DEADLINE - TRICKLE
+                && closed_after <= REQUEST_DEADLINE + REAPER_TICK,
+            "trickling connection closed {closed_after:?} after its first byte"
+        );
     }
     server.shutdown();
 }
