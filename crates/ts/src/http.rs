@@ -14,52 +14,29 @@
 //! - the **reactor** (one thread) blocks in `epoll_wait` until a parked
 //!   connection has bytes (or closed), the listener has a pending accept
 //!   burst, or a parked connection's deadline passes. Readable
-//!   connections are dispatched to the pool's **high-priority lane**; the
-//!   accept burst becomes one **low-priority lane** drain job — under a
-//!   connection storm, signing and request serving always cut ahead of
-//!   new accepts, so `issue_batch` latency holds. A full high lane keeps
-//!   the ready connection in the reactor's retry backlog (the bytes wait
-//!   in the socket; nothing is dropped).
-//! - a **worker turn** never blocks on a socket read: one non-blocking
-//!   read of what the socket holds into the connection's buffer, every
-//!   complete request framed ([`parse_head`]) and served in order, then
-//!   the connection is parked again with any partial request buffered.
-//!   Level-triggered one-shot re-arming makes that fair: a pipelining
-//!   client whose socket still holds bytes fires again, behind the others.
-//!   Workers block only on response writes (10 s write timeout) and on
-//!   the service's own work (signing, vote round trips).
-//! - every **parked connection** carries its own deadline: with an empty
-//!   buffer, [`HttpServerConfig::idle_timeout`] from now (or none); with a
-//!   partial request, [`REQUEST_DEADLINE`] from its first byte. The
-//!   reactor closes it then, so a trickling client holds neither a worker
-//!   nor, past the deadline, its connection.
-//! - the **accept-drain job** (low lane) accepts until the backlog is
-//!   empty, parking each new connection so its first request arrives as
-//!   a readiness event; beyond [`HttpServerConfig::max_connections`] it
-//!   answers a fast `503` with a v2 `internal` error instead of growing
-//!   without bound, then re-arms the listener registration.
+//!   connections go to the pool's **high-priority lane** (or, while it is
+//!   full, wait in the reactor's retry backlog); an accept burst becomes
+//!   one **low-priority lane** drain job, so under a connection storm
+//!   signing and serving always cut ahead of new accepts.
+//! - a **worker turn** never blocks on a socket read: it reads what the
+//!   socket holds up to the end of the first request, serves every
+//!   complete request ([`parse_head`]) in order, and parks the connection
+//!   again with any partial request buffered. Level-triggered one-shot
+//!   re-arming makes that fair: a pipelining client's further requests
+//!   fire again, behind the others. Workers block only on response writes
+//!   (10 s write timeout) and the service's own work (signing, votes).
+//! - every **parked connection** carries its own deadline:
+//!   [`HttpServerConfig::idle_timeout`] from now (or none) when its buffer
+//!   is empty, [`REQUEST_DEADLINE`] from the first byte of a partial
+//!   request; the reactor closes it then.
+//! - the **accept-drain job** (low lane) parks each new connection, or
+//!   past [`HttpServerConfig::max_connections`] answers a fast `503`,
+//!   then re-arms the listener.
 //!
-//! Batch issuance fans its signing across the same pool (see
-//! [`crate::service::TokenService::issue_batch`]); pass a shared pool via
-//! [`HttpServerConfig::pool`] to run connections and signing on one set of
-//! workers — the fan-out's caller-participation makes that safe even when
-//! every worker is busy.
-//!
-//! [`HttpServer::shutdown`] is deterministic: it wakes the reactor
-//! through its eventfd (no self-connect hack), which closes the listener
-//! and every parked connection and exits; in-flight requests finish and
-//! their workers observe the flag; every thread is joined.
-//!
-//! [`HttpClient`] is the wire implementation of [`TsApi`]: protocol-v2
-//! envelopes over one persistent connection, its responses framed by the
-//! same [`parse_head`]. Before reusing a pooled connection it probes for
-//! staleness (server restart, idle-timeout close) and transparently
-//! reconnects once, so non-idempotent calls never burn a round on a
-//! connection the server already abandoned; a failure *after* the
-//! request was sent is only retried for idempotent ops. Every body the
-//! server writes is a v2 response envelope — its own transport refusals
-//! (405, 400, 413, 503, injected 500s) included — so the client always
-//! decodes a machine-readable error code.
+//! [`HttpClient`] is the wire implementation of [`TsApi`]; it frames
+//! responses with the same [`parse_head`]. Every body the server writes,
+//! its own refusals (405, 400, 413, 503, injected 500s) included, is a v2
+//! response envelope, so the client always decodes an error code.
 
 use std::io::{ErrorKind, Write};
 use std::mem::MaybeUninit;
@@ -98,9 +75,9 @@ pub const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// loses the connection instead of pinning a worker.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Most bytes one `recv` reads: a server turn makes one such read. It is
-/// a stack buffer on every reading thread, so it stays small; a bigger
-/// request takes several turns.
+/// Most bytes one `recv` reads. It is a stack buffer on every reading
+/// thread, so it stays small; a turn reads chunk after chunk until the
+/// request at the front of the buffer is whole or the socket is empty.
 const READ_CHUNK: usize = 16 << 10;
 
 /// Kernel listen backlog. A connection storm queues here (absorbed at
@@ -168,8 +145,10 @@ pub struct HttpServerConfig {
     /// connection's own deadline, not by per-connection polling.
     pub idle_timeout: Option<Duration>,
     /// Share an existing pool (e.g. the one the wrapped `TokenService`
-    /// fans batch signing across) instead of creating a server-owned one.
-    /// A shared pool is *not* shut down when the server stops.
+    /// fans batch signing across) instead of creating a server-owned one;
+    /// the fan-out's caller participation keeps that safe when every
+    /// worker is busy. A shared pool is *not* shut down when the server
+    /// stops.
     pub pool: Option<Arc<WorkerPool>>,
     /// Bind to this exact address instead of an OS-assigned loopback port.
     /// [`crate::cluster::ReplicaSet`] uses it to restart a recovered
@@ -236,6 +215,8 @@ impl Drop for ConnCount {
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// What is known of the request at the front of `buf`.
+    framer: Framer,
     /// When the read that delivered the buffered request's first byte
     /// began; [`REQUEST_DEADLINE`] counts from here.
     started: Instant,
@@ -249,6 +230,7 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
+            framer: Framer::default(),
             started: Instant::now(),
             _count: count,
         })
@@ -302,13 +284,10 @@ impl ReactorClient<Conn> for ServerShared {
                 serve_turn(&me, conn);
             }
         });
-        match submitted {
-            Ok(()) => Ok(()),
-            Err(_) => match slot.lock().expect("conn slot").take() {
-                Some(conn) => Err(conn),
-                None => Ok(()),
-            },
-        }
+        submitted.map_err(|_| {
+            let conn = slot.lock().expect("conn slot").take();
+            conn.expect("a refused job never ran")
+        })
     }
 
     /// The listener has a pending burst: queue one low-priority drain job.
@@ -483,54 +462,60 @@ fn accept_drain(shared: &Arc<ServerShared>) {
     shared.reactor.rearm_accept();
 }
 
-/// One pool job: one non-blocking read of what the socket holds, then
-/// every complete request in the buffer served in order. The connection
-/// is parked again with any partial request still buffered, or dropped
-/// (closed) on peer close, error, refusal, `Connection: close`, an
-/// expired [`REQUEST_DEADLINE`], or shutdown.
+/// One pool job: non-blocking reads of what the socket holds, up to the
+/// end of the request at the front of the buffer, then every complete
+/// request in the buffer served in order. The connection is parked again
+/// with any partial request still buffered, or dropped (closed) on peer
+/// close, error, refusal, `Connection: close`, an expired
+/// [`REQUEST_DEADLINE`], or shutdown.
 fn serve_turn(shared: &Arc<ServerShared>, mut conn: Conn) {
     let now = Instant::now();
     if conn.buf.is_empty() {
         conn.started = now;
     }
-    let peer_closed = match recv_into(&conn.stream, &mut conn.buf, libc::MSG_DONTWAIT) {
-        Ok(n) => n == 0,
-        Err(e) if e.kind() == ErrorKind::WouldBlock => false,
-        Err(_) => return,
+    // Reading stops once the front request is whole, so a pipelining
+    // client's further requests wait in its socket, which fires again
+    // behind the other ready connections.
+    let peer_closed = loop {
+        match recv_into(&conn.stream, &mut conn.buf, libc::MSG_DONTWAIT) {
+            Ok(0) => break true,
+            Ok(_) if conn.framer.whole(&conn.buf) => break false,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break false,
+            Err(_) => return,
+        }
     };
     // Serve every complete request now: bytes already in the buffer never
     // make the socket readable again.
-    let mut served = 0;
     loop {
         if shared.shutting_down() {
             return; // drop: shutdown closes keep-alive connections
         }
-        let pending = &conn.buf[served..];
-        let refusal = match parse_head(pending) {
+        let refusal = match conn.framer.frame(&conn.buf) {
             Framing::NeedMore => break,
             Framing::Refuse(Refusal::Malformed) => (400, BAD_HEAD_BODY),
-            _ if start_word(pending, 0) != Some("POST") => (405, METHOD_NOT_ALLOWED_BODY),
+            _ if start_word(&conn.buf, 0) != Some("POST") => (405, METHOD_NOT_ALLOWED_BODY),
             // Guessing a length would leave body bytes in the stream and
             // desynchronize later keep-alive requests.
             Framing::Refuse(Refusal::NoLength) => (400, UNFRAMEABLE_BODY),
             Framing::Refuse(Refusal::TooLarge) => (413, TOO_LARGE_BODY),
             Framing::Complete(head) => {
-                let Some(body) = pending.get(head.len..head.len + head.body_len) else {
+                let end = head.len + head.body_len;
+                let Some(body) = conn.buf.get(head.len..end) else {
                     break; // the body is still arriving
                 };
-                match serve_request(shared, &mut conn.stream, body, head.close) {
-                    Ok(false) => served += head.len + head.body_len,
-                    Ok(true) | Err(_) => return, // explicit close or broken pipe
+                let served = serve_request(shared, &mut conn.stream, body, head.close);
+                if !matches!(served, Ok(false)) {
+                    return; // explicit close or broken pipe
                 }
+                conn.buf.drain(..end);
+                // Any leftover is the next request, starting now.
+                (conn.framer, conn.started) = (Framer::default(), now);
                 continue;
             }
         };
         refuse(&mut conn, refusal);
         return;
-    }
-    conn.buf.drain(..served);
-    if served > 0 {
-        conn.started = now; // any leftover is the next request's start
     }
     let deadline = if conn.buf.is_empty() {
         conn.buf = Vec::new(); // an idle connection holds no buffer
@@ -685,6 +670,52 @@ fn parse_head(buf: &[u8]) -> Framing {
     }
 }
 
+/// [`parse_head`] for a buffer that grows between calls, without framing
+/// it from scratch on every read. An incomplete head is scanned again only
+/// once its open line ends or reaches [`MAX_HEADER_LINE_BYTES`] (nothing
+/// else can change the answer), so a head cut into single bytes costs one
+/// scan per line; a whole head is kept while its body arrives.
+#[derive(Default)]
+struct Framer {
+    /// Where the open line starts, as of the last `NeedMore` scan.
+    line_start: usize,
+    /// The head, once whole.
+    head: Option<Head>,
+}
+
+impl Framer {
+    /// Answer [`parse_head`]`(buf)`, where `buf` extends the buffer of the
+    /// previous call.
+    fn frame(&mut self, buf: &[u8]) -> Framing {
+        if let Some(head) = self.head {
+            return Framing::Complete(head);
+        }
+        let open = &buf[self.line_start..];
+        if !open.contains(&b'\n') && open.len() < MAX_HEADER_LINE_BYTES {
+            return Framing::NeedMore;
+        }
+        let framing = parse_head(buf);
+        match framing {
+            Framing::NeedMore => {
+                self.line_start = buf.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+            }
+            Framing::Complete(head) => self.head = Some(head),
+            Framing::Refuse(_) => {}
+        }
+        framing
+    }
+
+    /// Whether `buf` starts with a whole request, or one already refused:
+    /// a turn reads no further.
+    fn whole(&mut self, buf: &[u8]) -> bool {
+        match self.frame(buf) {
+            Framing::NeedMore => false,
+            Framing::Complete(head) => buf.len() >= head.len + head.body_len,
+            Framing::Refuse(_) => true,
+        }
+    }
+}
+
 /// The `n`th word of the start line at the front of `buf`: a request's
 /// method (`n = 0`) or a response's status code (`n = 1`).
 fn start_word(buf: &[u8], n: usize) -> Option<&str> {
@@ -829,38 +860,18 @@ impl CallError {
     }
 }
 
-/// Where in the round trip an I/O error struck.
-enum IoFailure {
-    /// While establishing the connection: nothing was transmitted.
-    Connect(std::io::Error),
-    /// While writing the request or reading the response: the request may
-    /// have reached (and been executed by) the server.
-    AfterSend(std::io::Error),
-}
-
-/// Render an I/O error as a transport [`ApiError`], naming timeouts
-/// distinguishably (`set_read_timeout`/`set_write_timeout` expirations
-/// surface as `WouldBlock`/`TimedOut` depending on platform).
-fn transport_error(phase: &str, e: &std::io::Error) -> ApiError {
-    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-        ApiError::new(ErrorCode::Transport, format!("{phase} timed out: {e}"))
-    } else {
-        ApiError::new(ErrorCode::Transport, format!("{phase} failed: {e}"))
-    }
-}
-
-impl IoFailure {
-    fn sent(&self) -> bool {
-        matches!(self, IoFailure::AfterSend(_))
-    }
-
-    fn into_call_error(self) -> CallError {
-        let (sent, error) = match &self {
-            IoFailure::Connect(e) => (false, transport_error("connect", e)),
-            IoFailure::AfterSend(e) => (true, transport_error("round trip", e)),
-        };
-        CallError::Transport { sent, error }
-    }
+/// An I/O failure as a [`CallError::Transport`]: `sent` is false while
+/// connecting, true once the request may have gone out. Timeouts are named
+/// as such (`set_read_timeout`/`set_write_timeout` expirations surface as
+/// `WouldBlock`/`TimedOut` depending on platform).
+fn transport(sent: bool, e: std::io::Error) -> CallError {
+    let phase = if sent { "round trip" } else { "connect" };
+    let outcome = match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => "timed out",
+        _ => "failed",
+    };
+    let error = ApiError::new(ErrorCode::Transport, format!("{phase} {outcome}: {e}"));
+    CallError::Transport { sent, error }
 }
 
 /// The wire implementation of [`TsApi`]: protocol-v2 envelopes over one
@@ -913,7 +924,7 @@ impl HttpClient {
         &self,
         conn: &mut Option<TcpStream>,
         body: &str,
-    ) -> Result<(u16, String), IoFailure> {
+    ) -> Result<(u16, String), CallError> {
         if conn.is_none() {
             let stream = (|| {
                 let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
@@ -922,7 +933,7 @@ impl HttpClient {
                 stream.set_write_timeout(Some(self.config.write_timeout))?;
                 Ok(stream)
             })()
-            .map_err(IoFailure::Connect)?;
+            .map_err(|e| transport(false, e))?;
             *conn = Some(stream);
         }
         let stream = conn.as_mut().expect("connection just ensured");
@@ -933,8 +944,8 @@ impl HttpClient {
         );
         stream
             .write_all(request.as_bytes())
-            .map_err(IoFailure::AfterSend)?;
-        let (status, text, reusable) = read_response(stream).map_err(IoFailure::AfterSend)?;
+            .map_err(|e| transport(true, e))?;
+        let (status, text, reusable) = read_response(stream).map_err(|e| transport(true, e))?;
         if !reusable {
             *conn = None;
         }
@@ -960,15 +971,14 @@ impl HttpClient {
             Ok(response) => Ok(response),
             Err(first) => {
                 *conn = None;
-                if !had_connection || (first.sent() && !idempotent) {
+                let sent = matches!(first, CallError::Transport { sent: true, .. });
+                if !had_connection || (sent && !idempotent) {
                     // Fresh connection already failed (retry won't help),
                     // or replay is unsafe for this op.
-                    return Err(first.into_call_error());
+                    return Err(first);
                 }
-                self.round_trip_once(&mut conn, body).map_err(|e| {
-                    *conn = None;
-                    e.into_call_error()
-                })
+                self.round_trip_once(&mut conn, body)
+                    .inspect_err(|_| *conn = None)
             }
         }
     }
@@ -1390,6 +1400,90 @@ mod tests {
                     prop_assert!(head.body_len <= MAX_BODY_BYTES);
                 }
             }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_framer_answers_as_parse_head_however_the_buffer_grows(
+            picks in prop::collection::vec(0usize..HEAD_ALPHABET.len(), 0..400),
+            with_long_line in any::<bool>(),
+            at in 0usize..400,
+            len in MAX_HEADER_LINE_BYTES - 16..MAX_HEADER_LINE_BYTES + 16,
+            cuts in prop::collection::vec(1usize..3000, 1..40),
+        ) {
+            let mut bytes: Vec<u8> = picks.iter().map(|&i| HEAD_ALPHABET[i]).collect();
+            if with_long_line {
+                let at = at.min(bytes.len());
+                bytes.splice(at..at, std::iter::repeat_n(b'a', len));
+            }
+            let mut framer = Framer::default();
+            let mut end = 0;
+            for cut in cuts.iter().cycle() {
+                end = (end + cut).min(bytes.len());
+                let prefix = &bytes[..end];
+                prop_assert_eq!(framer.frame(prefix), parse_head(prefix), "prefix {}", end);
+                if end == bytes.len() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_near_cap_head_and_its_body_trickled_byte_by_byte_frame_in_linear_time() {
+        // 63 header lines one byte short of the cap, then a body: framing
+        // from scratch on every byte would scan ~10^11 bytes; the framer
+        // scans the head once per line and never while the body arrives.
+        let pad = format!("X-Pad: {}\r\n", "a".repeat(MAX_HEADER_LINE_BYTES - 10));
+        let body = vec![b'b'; 64 << 10];
+        let mut bytes = format!(
+            "POST / HTTP/1.1\r\n{}Content-Length: {}\r\n\r\n",
+            pad.repeat(MAX_HEADERS - 1),
+            body.len()
+        )
+        .into_bytes();
+        let head_len = bytes.len();
+        bytes.extend_from_slice(&body);
+        let start = Instant::now();
+        let mut framer = Framer::default();
+        for end in 1..=bytes.len() {
+            let framing = framer.frame(&bytes[..end]);
+            if end < head_len {
+                assert_eq!(framing, Framing::NeedMore, "prefix {end}");
+            } else {
+                let head = Head {
+                    len: head_len,
+                    body_len: body.len(),
+                    close: false,
+                };
+                assert_eq!(framing, Framing::Complete(head), "prefix {end}");
+            }
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "framing stalled at byte {end} of {}",
+                bytes.len()
+            );
+        }
+        // A line that never ends is refused once it reaches the cap, byte
+        // by byte as well.
+        let endless = format!(
+            "POST / HTTP/1.1\r\nX-Pad: {}",
+            "a".repeat(MAX_HEADER_LINE_BYTES)
+        );
+        let line_start = "POST / HTTP/1.1\r\n".len();
+        let mut framer = Framer::default();
+        for end in 1..=endless.len() {
+            let expected = if end < line_start + MAX_HEADER_LINE_BYTES {
+                Framing::NeedMore
+            } else {
+                Framing::Refuse(Refusal::Malformed)
+            };
+            assert_eq!(
+                framer.frame(&endless.as_bytes()[..end]),
+                expected,
+                "prefix {end}"
+            );
         }
     }
 

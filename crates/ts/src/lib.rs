@@ -58,14 +58,11 @@
 //! ```
 //!
 //! - **Connections** cost `O(workers)` threads, not `O(connections)`: a
-//!   worker never waits on a socket read, and parks each connection in
-//!   the reactor's epoll set between turns, where 50 000+ idle keep-alive
-//!   connections cost zero steady-state CPU — the reactor blocks in
-//!   `epoll_wait` until one becomes readable, closes, or reaches its
-//!   deadline (idle, or [`http::REQUEST_DEADLINE`] mid-request). One
-//!   struct literal configures a server: [`http::HttpServerConfig`] with
-//!   `..Default::default()` (`workers`, `queue_capacity`,
-//!   `max_connections`, `idle_timeout`, an optional shared `pool`, …).
+//!   worker never waits on a socket read and parks each connection in the
+//!   reactor's epoll set between turns, where 50 000+ idle keep-alive
+//!   connections cost zero CPU until one is readable, closes, or reaches
+//!   its deadline (idle, or [`http::REQUEST_DEADLINE`] mid-request). One
+//!   [`http::HttpServerConfig`] struct literal configures a server.
 //! - **Every listener binds one way**: the public listener and every
 //!   vote endpoint are [`http::HttpServer::start_with`] calls whose
 //!   config names the [`EndpointScope`](front::EndpointScope), so they

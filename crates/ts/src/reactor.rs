@@ -1,9 +1,7 @@
 //! The readiness reactor behind [`crate::http::HttpServer`]: one thread
 //! multiplexing *all* parked keep-alive sockets and the accept listener
 //! through epoll (via the in-repo `libc` shim), so an idle connection
-//! costs one registered fd and **zero CPU** until its next byte arrives —
-//! replacing the poller-era 1 ms sweep whose cost grew O(n) with parked
-//! connections.
+//! costs one registered fd and **zero CPU** until its next byte arrives.
 //!
 //! Mechanics:
 //!
@@ -20,8 +18,8 @@
 //!   answered by queueing one *low-priority* drain job; the job re-arms
 //!   the registration when the backlog is empty. Level-triggered re-arm
 //!   means connections that raced in meanwhile re-fire immediately.
-//! - An `eventfd` wakes the loop for shutdown — no self-connect hack, no
-//!   polling.
+//! - An `eventfd` wakes the loop for shutdown, and when an item parks
+//!   with a deadline sooner than every other.
 //! - When the client's queue refuses a dispatch ([`ReactorClient::
 //!   on_ready`] returns the item), the reactor parks it in a retry
 //!   backlog and polls with a short timeout instead of blocking forever;
@@ -167,13 +165,15 @@ impl<T: AsRawFd + Send> Reactor<T> {
         let fd = item.as_raw_fd();
         // Insert before ADD so the event (which can fire on another
         // thread's epoll_wait immediately) always finds its item.
-        {
+        let soonest = {
             let mut parked = self.parked.lock().expect("parked lock");
             parked.items.insert(token, (item, deadline));
-            if let Some(deadline) = deadline {
+            deadline.is_some_and(|deadline| {
+                let soonest = parked.deadlines.first().is_none_or(|&(d, _)| deadline < d);
                 parked.deadlines.insert((deadline, token));
-            }
-        }
+                soonest
+            })
+        };
         let armed = self.ctl(
             libc::EPOLL_CTL_ADD,
             fd,
@@ -182,8 +182,11 @@ impl<T: AsRawFd + Send> Reactor<T> {
         );
         if armed.is_err() {
             self.parked.lock().expect("parked lock").take(token);
-        } else if deadline.is_some() {
-            self.wake(); // the loop may be asleep until a later deadline
+        }
+        if soonest {
+            // The loop sleeps toward the deadline that was soonest until
+            // now; a later one needs no wake.
+            self.wake();
         }
         armed
     }
@@ -483,6 +486,39 @@ mod tests {
         let mut served = rig.rx.recv_timeout(WAIT).unwrap();
         served.read_exact(&mut byte).unwrap();
         assert_eq!(&byte, b"b");
+        rig.stop();
+    }
+
+    /// A connected pair on a private listener: (peer, server end).
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        (peer, listener.accept().unwrap().0)
+    }
+
+    #[test]
+    fn a_sooner_deadline_parked_later_is_reaped_on_time() {
+        // Once the loop sleeps toward a 30 s deadline, parking a 200 ms one
+        // must wake it, or that stream would outlive its deadline.
+        let rig = rig(None);
+        let (_slow_peer, slow) = pair();
+        let (mut fast_peer, fast) = pair();
+        let slow_deadline = Instant::now() + Duration::from_secs(30);
+        rig.reactor.park(slow, Some(slow_deadline)).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        rig.reactor
+            .park(fast, Some(start + Duration::from_millis(200)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        fast_peer.set_read_timeout(Some(WAIT)).unwrap();
+        assert_eq!(fast_peer.read(&mut byte).unwrap_or(1), 0, "expected FIN");
+        let waited = start.elapsed();
+        assert!(
+            waited >= Duration::from_millis(150) && waited < Duration::from_secs(2),
+            "reaped after {waited:?}"
+        );
+        assert_eq!(rig.reactor.parked_len(), 1, "the 30 s stream was reaped");
         rig.stop();
     }
 

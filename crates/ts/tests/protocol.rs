@@ -17,6 +17,7 @@ use smacs_ts::{
 };
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -542,6 +543,59 @@ proptest! {
         prop_assert_eq!(named, expected_names(&ops));
         server.shutdown();
     }
+}
+
+#[test]
+fn a_large_body_is_read_whole_while_the_workers_are_busy() {
+    // A 512 KiB request and one pipelined behind it, sent in one write
+    // while two clients keep both workers signing: the turn reads the big
+    // body for as long as the socket holds bytes, and both are answered.
+    let server = HttpServer::start_with(
+        front(),
+        HttpServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let busy: Vec<_> = (1..=2u64)
+        .map(|t| {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let client = HttpClient::connect(addr);
+                for i in 0.. {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    client.issue(&request(t * 100_000 + i)).unwrap();
+                }
+            })
+        })
+        .collect();
+    let ops = ["probe_large".to_string(), "probe_after".to_string()];
+    let mut stream = Vec::new();
+    for (op, pad) in ops.iter().zip([512 << 10, 0]) {
+        let body = v2(op, Json::Str("a".repeat(pad)));
+        write!(
+            stream,
+            "POST / HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+    }
+    std::thread::sleep(Duration::from_millis(20)); // the workers are signing
+    let start = Instant::now();
+    let named = exchange(addr, &stream, &[], false, ops.len());
+    let took = start.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    for client in busy {
+        client.join().unwrap();
+    }
+    assert_eq!(named, expected_names(&ops));
+    assert!(took < Duration::from_secs(5), "answered after {took:?}");
+    server.shutdown();
 }
 
 // ---- slow clients ----
